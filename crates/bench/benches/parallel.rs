@@ -1,4 +1,4 @@
-//! Work-stealing gate scaling: the full corpus rule set gated cold at
+//! Parallel gate scaling: the full corpus rule set gated cold at
 //! widths 1/2/4/8, plus a stall-overlap workload whose per-rule injected
 //! stalls can only be hidden by running rules concurrently. Writes
 //! `BENCH_parallel.json` (per-width wall clock, speedups, scheduler and
@@ -61,8 +61,9 @@ fn time_cold(registry: &RuleRegistry, version: &lisa_concolic::SystemVersion, wo
     let mut best_ms = f64::INFINITY;
     let mut render = String::new();
     for _ in 0..SAMPLES {
-        // A fresh cache per run: this is the cold path, where the
-        // concolic and solver leaves dominate and parallelism pays.
+        // A fresh cache per run: this is the cold path, where each rule's
+        // concolic runs and solver queries dominate and running rules in
+        // parallel pays.
         let cache = Arc::new(GateCache::new());
         let gate = Gate::new(registry).config(config()).workers(workers).cache(&cache);
         let t0 = Instant::now();
@@ -174,17 +175,15 @@ fn main() {
 
     // One instrumented 8-wide cold run for the scheduler/lock counters.
     let spawned0 = lisa_telemetry::counter_value("sched.tasks_spawned");
-    let stolen0 = lisa_telemetry::counter_value("sched.tasks_stolen");
     let cache = Arc::new(GateCache::new());
     let report = Gate::new(&registry).config(config()).workers(8).cache(&cache).run(version);
     assert_eq!(render_enforcement(&report), cold_render[0]);
     let spawned = lisa_telemetry::counter_value("sched.tasks_spawned") - spawned0;
-    let stolen = lisa_telemetry::counter_value("sched.tasks_stolen") - stolen0;
     let tiers = cache.tier_stats();
     let lock_acquires: u64 = tiers.iter().map(|(_, s)| s.lock_acquires).sum();
     let lock_contended: u64 = tiers.iter().map(|(_, s)| s.lock_contended).sum();
     println!(
-        "parallel/sched: {spawned} tasks spawned, {stolen} stolen; \
+        "parallel/sched: {spawned} tasks spawned; \
          {lock_acquires} cache lock acquires, {lock_contended} contended"
     );
 
@@ -207,7 +206,7 @@ fn main() {
         "],\"widths\":[1,2,4,8],\
          \"cold_speedup_4w\":{cold4:.2},\"cold_speedup_8w\":{cold8:.2},\
          \"stall_speedup_4w\":{stall4:.2},\"stall_speedup_8w\":{stall8:.2},\
-         \"sched_tasks_spawned\":{spawned},\"sched_tasks_stolen\":{stolen},\
+         \"sched_tasks_spawned\":{spawned},\
          \"cache_lock_acquires\":{lock_acquires},\"cache_lock_contended\":{lock_contended}"
     );
     json.push('}');

@@ -237,7 +237,8 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
             registry.register(r);
         }
         // `--state <dir>`: journal the run so a crash can be resumed
-        // without re-checking already-settled rules.
+        // without re-checking already-settled rules. A durable run
+        // settles one rule at a time, in journal order.
         if let Some(state) = flags.get("state") {
             return run_durable(&registry, &version, &cfg, &options, state, json);
         }
@@ -315,7 +316,6 @@ fn run_durable(
 ) -> Result<Outcome, String> {
     let durable = DurableOptions {
         state_dir: PathBuf::from(state),
-        workers: cfg.workers,
         cache: cfg.gate_cache(),
         ..DurableOptions::default()
     };

@@ -5,8 +5,8 @@
 //! repeating the same mistake … enforced in CI/CD pipelines." The
 //! [`RuleRegistry`] is that contract store: rules accumulate as tickets
 //! are processed, and every new system version is gated on the full set.
-//! Rule checks are independent, so the gate fans them out across worker
-//! threads (std scoped threads).
+//! Rule checks are independent, so the gate runs them on up to
+//! `workers` std scoped threads, one whole rule per task.
 //!
 //! The gate is built to *always return a decision*: each rule check runs
 //! under `catch_unwind` with bounded retry, a panicking or malformed rule
@@ -19,7 +19,7 @@
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use lisa_concolic::SystemVersion;
@@ -29,7 +29,7 @@ use lisa_util::{retry_with_backoff, RetryPolicy};
 use crate::error::LisaError;
 use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
 use crate::pipeline::{Pipeline, PipelineConfig, ResourceBudgets};
-use crate::sched::{DegradeSignal, GateCtx, Sched};
+use crate::sched::{run_rules, DegradeSignal};
 use crate::verdict::RuleReport;
 
 /// The persistent set of enforced rules.
@@ -205,53 +205,35 @@ pub(crate) fn enforce_impl(
         gate_config.budgets.rule_wall = options.budgets.rule_wall;
     }
 
-    // One slot per rule: tasks finish in any order, reports fold in
-    // registry order. Declared before the scheduler so tasks may borrow it.
-    let slots: Vec<Mutex<Option<RuleReport>>> =
-        registry.rules().iter().map(|_| Mutex::new(None)).collect();
-    let sched = Sched::new(workers);
-    for (i, rule) in registry.rules().iter().enumerate() {
-        let gate_config = &gate_config;
-        let slots = &slots;
-        let total_retries = &total_retries;
-        let degrade = &degrade;
-        sched.spawn_rule(move |exec| {
-            let pipeline = match cache {
-                Some(c) => Pipeline::with_cache(gate_config.clone(), Arc::clone(c)),
-                None => Pipeline::new(gate_config.clone()),
-            };
-            let past_deadline = degrade.expired();
-            if past_deadline && degrade.first_notice() {
-                lisa_telemetry::event(
-                    "gate.deadline_expired",
-                    format!(
-                        "degrading remaining rules to fixed-path sanity checks \
-                         (from rule {})",
-                        rule.id
-                    ),
-                );
-            }
-            let ctx = GateCtx { exec: Some(exec), degrade: Some(degrade) };
-            let (report, retries) =
-                check_one_rule(&pipeline, version, rule, options, past_deadline, ctx);
-            total_retries.fetch_add(retries as u64, Ordering::Relaxed);
-            // Recover from a poisoned lock: a panicking sibling worker
-            // must not cost us this rule's report.
-            *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(report);
-        });
-    }
-    sched.run();
-    sched.publish_metrics();
-    // The scheduler's queues borrow `slots`; release them before folding.
-    drop(sched);
-
+    // One slot per rule: rules finish in any order, reports fold in
+    // registry order.
+    let rules = registry.rules();
+    let slots: Vec<OnceLock<RuleReport>> = rules.iter().map(|_| OnceLock::new()).collect();
+    run_rules(workers, rules.len(), |i| {
+        let rule = &rules[i];
+        let pipeline = match cache {
+            Some(c) => Pipeline::with_cache(gate_config.clone(), Arc::clone(c)),
+            None => Pipeline::new(gate_config.clone()),
+        };
+        let past_deadline = degrade.expired();
+        if past_deadline && degrade.first_notice() {
+            lisa_telemetry::event(
+                "gate.deadline_expired",
+                format!(
+                    "degrading remaining rules to fixed-path sanity checks \
+                     (from rule {})",
+                    rule.id
+                ),
+            );
+        }
+        let (report, retries) =
+            check_one_rule(&pipeline, version, rule, options, past_deadline, &degrade);
+        total_retries.fetch_add(retries as u64, Ordering::Relaxed);
+        let _ = slots[i].set(report);
+    });
     let reports: Vec<RuleReport> = slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                .expect("every rule task writes its slot before the scheduler drains")
-        })
+        .map(|s| s.into_inner().expect("every rule writes its slot before run_rules returns"))
         .collect();
 
     let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
@@ -329,17 +311,17 @@ pub(crate) fn enforce_impl(
 
 /// Check one rule with panic isolation, fault arming, and bounded retry.
 /// Never panics; always returns a report.
-fn check_one_rule<'env>(
+fn check_one_rule(
     pipeline: &Pipeline,
-    version: &'env SystemVersion,
+    version: &SystemVersion,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
-    ctx: GateCtx<'_, 'env>,
+    degrade: &DegradeSignal,
 ) -> (RuleReport, u32) {
     let (result, retries) = retry_with_backoff(
         &options.retry,
-        |_attempt| run_attempt(pipeline, version, rule, options, degraded, ctx),
+        |_attempt| run_attempt(pipeline, version, rule, options, degraded, degrade),
         |e: &LisaError| e.is_transient(),
     );
     let mut report = match result {
@@ -358,13 +340,13 @@ fn check_one_rule<'env>(
 
 /// One attempt: arm any injected fault, then run the (possibly degraded)
 /// rule check under `catch_unwind`, classifying the unwind payload.
-fn run_attempt<'env>(
+fn run_attempt(
     pipeline: &Pipeline,
-    version: &'env SystemVersion,
+    version: &SystemVersion,
     rule: &SemanticRule,
     options: &GateOptions,
     degraded: bool,
-    ctx: GateCtx<'_, 'env>,
+    degrade: &DegradeSignal,
 ) -> Result<RuleReport, LisaError> {
     let fault = options.faults.as_ref().and_then(|inj| inj.arm(&rule.id));
     // Faults that rewrite the input are applied to a clone; the caller's
@@ -400,20 +382,9 @@ fn run_attempt<'env>(
     }
     let rule = effective_rule.as_ref().unwrap_or(rule);
     let pipeline = effective_pipeline.as_ref().unwrap_or(pipeline);
-    panic_isolated(|| {
-        if degraded {
-            // Past the gate deadline: cheap fixed-path sanity check. The
-            // malformed-rule boundary still applies.
-            lisa_smt::parse_cond(&rule.condition_src)
-                .map_err(|e| LisaError::MalformedRule {
-                    rule_id: rule.id.clone(),
-                    detail: format!("condition {:?}: {e}", rule.condition_src),
-                })
-                .map(|_| pipeline.check_rule_degraded_ctx(version, rule, ctx))
-        } else {
-            pipeline.try_check_rule_ctx(version, rule, ctx)
-        }
-    })?
+    // `degraded` (past the gate deadline) runs the cheap fixed-path
+    // sanity check; the malformed-rule boundary applies either way.
+    panic_isolated(|| pipeline.try_check(version, rule, degraded, Some(degrade)))?
 }
 
 /// Run `f` under `catch_unwind`, converting an unwind into a

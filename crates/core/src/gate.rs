@@ -169,8 +169,8 @@ impl<'r> Gate<'r> {
         self
     }
 
-    /// Scheduler width for the rule/leaf fan-out. `0` means auto: one
-    /// worker per available hardware thread (see
+    /// How many rules run at once (each rule runs whole on one worker).
+    /// `0` means auto: one worker per available hardware thread (see
     /// [`crate::resolve_workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;

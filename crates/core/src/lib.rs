@@ -10,8 +10,8 @@
 //!
 //! - [`pipeline`] — the §3.2 check loop (tree → aliases → test selection
 //!   → concolic assertion → verdicts),
-//! - [`sched`] — the work-stealing scheduler the gate fans rule and
-//!   leaf tasks across, with deterministic indexed merges,
+//! - [`sched`] — the rule scheduler: whole rules on up to `workers`
+//!   threads, folded in registry order,
 //! - [`verdict`] — Verified / Violated / NotCovered chain reports,
 //! - [`crosscheck`] — §5's test-grounding validation of mined rules,
 //! - [`mod@enforce`] — the rule registry and CI/CD gate (panic-isolated,

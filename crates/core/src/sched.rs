@@ -1,39 +1,23 @@
-//! Work-stealing scheduler for the enforcement engine.
+//! Rule scheduler for the enforcement gate.
 //!
-//! The gate's unit of work used to be the whole rule: a fixed pool of
-//! scoped threads pulled rule indices off one counter, so a registry with
-//! fewer rules than cores — or one rule whose concolic batch dwarfs the
-//! rest — left most of the machine idle. This module schedules at two
-//! granularities instead:
-//!
-//! - **rule tasks** enter a shared FIFO injector (one per registered
-//!   rule), and
-//! - **leaf tasks** — one concolic test run, one SMT violation query, one
-//!   chain's alias computation — go to the spawning worker's local deque,
-//!   where idle workers steal them.
+//! The gate's unit of work is the whole rule: each registered rule runs
+//! from start to finish on one worker. [`run_rules`] starts
+//! `min(workers, rules)` workers that take rule indices from one shared
+//! atomic counter; with a width of 1 it runs every rule inline on the
+//! caller, in registry order, and starts no thread at all.
 //!
 //! Determinism is the design constraint: gate output must be
-//! byte-identical at any worker count. Three rules make that hold:
+//! byte-identical at any worker count. Each rule writes its own result
+//! slot and the caller folds the slots in registry order, so execution
+//! order never leaks into merge order.
 //!
-//! 1. Leaf results are written into index-addressed slots and folded in
-//!    index order by the spawner ([`Exec::run_indexed`]) — execution
-//!    order never leaks into merge order.
-//! 2. All queues are FIFO (local pops, injector pops, steals), so a
-//!    single-worker scheduler executes in exactly the old sequential
-//!    program order.
-//! 3. A worker blocked in `run_indexed` helps by executing *leaf-class*
-//!    tasks only, which by contract never fan out further — recursion
-//!    depth is bounded at worker_loop → rule → run_indexed → leaf.
-//!
-//! Panics stay contained: a panicking leaf is re-raised on its spawner's
-//! thread (lowest index first, deterministically), where the gate's
-//! existing `panic_isolated` boundary turns it into a per-rule engine
-//! error; a panicking rule task is re-raised once from [`Sched::run`].
+//! Panics stay contained: a rule panic that the rule's own handler did
+//! not catch is held until every rule has settled, then the
+//! lowest-indexed one is re-raised once from [`run_rules`].
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Resolve a requested worker count: `0` means "auto" — one worker per
@@ -46,333 +30,59 @@ pub fn resolve_workers(requested: usize) -> usize {
     }
 }
 
-type Task<'env> = Box<dyn FnOnce(Exec<'_, 'env>) + Send + 'env>;
-
-/// How long an idle worker sleeps before re-probing the queues. Spawns
-/// notify the condvar, so this only bounds the staleness of a wakeup
-/// racing the park itself.
-const PARK_TIMEOUT: Duration = Duration::from_micros(500);
-
-#[derive(Debug, Default)]
-struct SchedStats {
-    rule_tasks: AtomicU64,
-    leaf_tasks: AtomicU64,
-    stolen: AtomicU64,
-    /// High-water mark of in-flight tasks (queued + running).
-    pending_peak: AtomicU64,
-    busy_ns: Vec<AtomicU64>,
-}
-
-/// The scheduler: a shared rule injector plus one stealable leaf deque
-/// per worker. Lives on the caller's stack; tasks may borrow anything
-/// that outlives it (`'env`), in the `thread::scope` tradition.
-pub(crate) struct Sched<'env> {
-    workers: usize,
-    injector: Mutex<VecDeque<Task<'env>>>,
-    leaves: Vec<Mutex<VecDeque<Task<'env>>>>,
-    /// Tasks spawned and not yet finished; 0 means the run is complete.
-    pending: AtomicUsize,
-    park: Mutex<()>,
-    unpark: Condvar,
-    /// First rule-task panic, re-raised from `run` (rule tasks are
-    /// expected to catch their own panics; this is a backstop).
-    panicked: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    stats: SchedStats,
-}
-
-impl<'env> Sched<'env> {
-    pub fn new(workers: usize) -> Sched<'env> {
-        let workers = workers.max(1);
-        Sched {
-            workers,
-            injector: Mutex::new(VecDeque::new()),
-            leaves: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            park: Mutex::new(()),
-            unpark: Condvar::new(),
-            panicked: Mutex::new(None),
-            stats: SchedStats {
-                busy_ns: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-                ..SchedStats::default()
-            },
-        }
-    }
-
-    /// Enqueue a rule-granularity task. Call before [`Sched::run`]; the
-    /// injector is FIFO, so tasks start in spawn order.
-    pub fn spawn_rule(&self, task: impl FnOnce(Exec<'_, 'env>) + Send + 'env) {
-        self.note_spawn(&self.stats.rule_tasks);
-        self.injector.lock().unwrap_or_else(|p| p.into_inner()).push_back(Box::new(task));
-        self.unpark.notify_all();
-    }
-
-    fn spawn_leaf(&self, worker: usize, task: Task<'env>) {
-        self.note_spawn(&self.stats.leaf_tasks);
-        self.leaves[worker].lock().unwrap_or_else(|p| p.into_inner()).push_back(task);
-        self.unpark.notify_all();
-    }
-
-    fn note_spawn(&self, class: &AtomicU64) {
-        class.fetch_add(1, Ordering::Relaxed);
-        let now = self.pending.fetch_add(1, Ordering::SeqCst) as u64 + 1;
-        self.stats.pending_peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    /// Run every spawned task to completion. The calling thread becomes
-    /// worker 0; workers 1..N are scoped threads. Returns when `pending`
-    /// reaches zero; re-raises the first uncaught rule-task panic.
-    pub fn run(&self) {
-        if self.workers == 1 {
-            self.worker_loop(0);
-        } else {
-            std::thread::scope(|scope| {
-                for w in 1..self.workers {
-                    scope.spawn(move || self.worker_loop(w));
-                }
-                self.worker_loop(0);
-            });
-        }
-        if let Some(payload) =
-            self.panicked.lock().unwrap_or_else(|p| p.into_inner()).take()
-        {
-            resume_unwind(payload);
-        }
-    }
-
-    fn worker_loop(&self, worker: usize) {
+/// Run `rule(i)` for every `i` in `0..rules` on `min(workers, rules)`
+/// workers and return that width. The caller is worker 0; the others are
+/// scoped threads. Publishes `sched.tasks_spawned` (one per rule) and
+/// one `sched.worker_busy_us` sample per worker that ran a rule.
+pub(crate) fn run_rules(workers: usize, rules: usize, rule: impl Fn(usize) + Sync) -> usize {
+    let width = workers.min(rules).max(1);
+    let next = AtomicUsize::new(0);
+    let panicked: Mutex<Option<(usize, Box<dyn std::any::Any + Send>)>> = Mutex::new(None);
+    let worker = || {
+        let mut busy = None::<Duration>;
         loop {
-            if let Some((task, stolen)) = self.next_task(worker) {
-                let t0 = Instant::now();
-                self.execute(task, worker, stolen);
-                // Nested help-loop executions are inside this window, so
-                // busy time is wall time spent on any work, not per-task.
-                self.stats.busy_ns[worker]
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                continue;
+            // Relaxed: the counter only hands out indices; the scope join
+            // publishes what each rule wrote.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= rules {
+                break;
             }
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            let guard = self.park.lock().unwrap_or_else(|p| p.into_inner());
-            if self.pending.load(Ordering::SeqCst) == 0 {
-                return;
-            }
-            // A spawn may slip between the probe above and this wait; the
-            // timeout bounds that race instead of a heavier handshake.
-            let _ = self.unpark.wait_timeout(guard, PARK_TIMEOUT);
-        }
-    }
-
-    /// Local leaves first (finish in-progress rules), then new rules from
-    /// the injector, then steal leaves from siblings. All FIFO.
-    fn next_task(&self, worker: usize) -> Option<(Task<'env>, bool)> {
-        if let Some(t) = pop_front(&self.leaves[worker]) {
-            return Some((t, false));
-        }
-        if let Some(t) = pop_front(&self.injector) {
-            return Some((t, false));
-        }
-        self.steal_leaf(worker)
-    }
-
-    /// Leaf-class work only: what a worker blocked in `run_indexed` may
-    /// execute without risking unbounded recursion.
-    fn pop_leaf(&self, worker: usize) -> Option<(Task<'env>, bool)> {
-        if let Some(t) = pop_front(&self.leaves[worker]) {
-            return Some((t, false));
-        }
-        self.steal_leaf(worker)
-    }
-
-    fn steal_leaf(&self, worker: usize) -> Option<(Task<'env>, bool)> {
-        for i in 1..self.workers {
-            let victim = (worker + i) % self.workers;
-            if let Some(t) = pop_front(&self.leaves[victim]) {
-                return Some((t, true));
-            }
-        }
-        None
-    }
-
-    fn execute(&self, task: Task<'env>, worker: usize, stolen: bool) {
-        if stolen {
-            self.stats.stolen.fetch_add(1, Ordering::Relaxed);
-        }
-        let exec = Exec { sched: self, worker };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(exec))) {
-            let mut slot = self.panicked.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.unpark.notify_all();
-        }
-    }
-
-    /// Push `sched.*` counters/histograms to telemetry (no-op unless
-    /// metrics are enabled). Call once, after [`Sched::run`].
-    pub fn publish_metrics(&self) {
-        if !lisa_telemetry::metrics_enabled() {
-            return;
-        }
-        let rules = self.stats.rule_tasks.load(Ordering::Relaxed);
-        let leaves = self.stats.leaf_tasks.load(Ordering::Relaxed);
-        lisa_telemetry::counter_add("sched.tasks_spawned", rules + leaves);
-        lisa_telemetry::counter_add("sched.rule_tasks", rules);
-        lisa_telemetry::counter_add("sched.leaf_tasks", leaves);
-        lisa_telemetry::counter_add("sched.tasks_stolen", self.stats.stolen.load(Ordering::Relaxed));
-        lisa_telemetry::histogram_record(
-            "sched.queue_depth_peak",
-            self.stats.pending_peak.load(Ordering::Relaxed),
-        );
-        for busy in &self.stats.busy_ns {
-            lisa_telemetry::histogram_record(
-                "sched.worker_busy_us",
-                busy.load(Ordering::Relaxed) / 1_000,
-            );
-        }
-    }
-
-    /// (tasks spawned, tasks stolen) — for tests.
-    #[cfg(test)]
-    pub fn counts(&self) -> (u64, u64) {
-        let spawned = self.stats.rule_tasks.load(Ordering::Relaxed)
-            + self.stats.leaf_tasks.load(Ordering::Relaxed);
-        (spawned, self.stats.stolen.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Sched<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Sched")
-            .field("workers", &self.workers)
-            .field("pending", &self.pending.load(Ordering::SeqCst))
-            .finish_non_exhaustive()
-    }
-}
-
-fn pop_front<'env>(q: &Mutex<VecDeque<Task<'env>>>) -> Option<Task<'env>> {
-    q.lock().unwrap_or_else(|p| p.into_inner()).pop_front()
-}
-
-/// A task's handle back into the scheduler: which worker it is on, and
-/// the fan-out primitive. `Copy` so closures can capture it freely.
-#[derive(Clone, Copy)]
-pub(crate) struct Exec<'s, 'env> {
-    sched: &'s Sched<'env>,
-    worker: usize,
-}
-
-impl<'s, 'env> Exec<'s, 'env> {
-    pub fn workers(&self) -> usize {
-        self.sched.workers
-    }
-
-    /// Run `jobs` (leaf-class: they must not fan out again) and return
-    /// their results **in job order**, regardless of which worker ran
-    /// what when. Job 0 runs inline on the calling worker; the rest are
-    /// spawned stealable. The caller helps with other leaf work while
-    /// waiting. The first panicking job (by index) is re-raised here,
-    /// after every job has settled.
-    pub fn run_indexed<R, F>(&self, jobs: Vec<F>) -> Vec<R>
-    where
-        R: Send + 'env,
-        F: FnOnce() -> R + Send + 'env,
-    {
-        let n = jobs.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        if self.sched.workers == 1 || n == 1 {
-            // Sequential program order, exactly.
-            return jobs.into_iter().map(|j| j()).collect();
-        }
-        type Slot<R> = Mutex<Option<std::thread::Result<R>>>;
-        let slots: Arc<Vec<Slot<R>>> = Arc::new((0..n).map(|_| Mutex::new(None)).collect());
-        let wg = Arc::new(WaitGroup::new(n - 1));
-        let mut jobs = jobs.into_iter();
-        let first = jobs.next().expect("n >= 1");
-        for (off, job) in jobs.enumerate() {
-            let idx = off + 1;
-            let slots = Arc::clone(&slots);
-            let wg = Arc::clone(&wg);
-            self.sched.spawn_leaf(
-                self.worker,
-                Box::new(move |_| {
-                    let r = catch_unwind(AssertUnwindSafe(job));
-                    *slots[idx].lock().unwrap_or_else(|p| p.into_inner()) = Some(r);
-                    wg.done();
-                }),
-            );
-        }
-        let r0 = catch_unwind(AssertUnwindSafe(first));
-        *slots[0].lock().unwrap_or_else(|p| p.into_inner()) = Some(r0);
-        while !wg.is_done() {
-            match self.sched.pop_leaf(self.worker) {
-                Some((task, stolen)) => self.sched.execute(task, self.worker, stolen),
-                None => wg.wait_brief(),
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut first_panic = None;
-        for slot in slots.iter() {
-            match slot.lock().unwrap_or_else(|p| p.into_inner()).take() {
-                Some(Ok(r)) => out.push(r),
-                Some(Err(p)) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(p);
-                    }
+            let t0 = Instant::now();
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| rule(i))) {
+                let mut slot = panicked.lock().unwrap_or_else(|p| p.into_inner());
+                if slot.as_ref().is_none_or(|(first, _)| i < *first) {
+                    *slot = Some((i, payload));
                 }
-                None => unreachable!("wait group counted this slot as done"),
             }
+            *busy.get_or_insert_default() += t0.elapsed();
         }
-        if let Some(p) = first_panic {
-            resume_unwind(p);
+        if let Some(busy) = busy {
+            lisa_telemetry::histogram_record("sched.worker_busy_us", busy.as_micros() as u64);
         }
-        out
+    };
+    if width == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 1..width {
+                scope.spawn(worker);
+            }
+            worker();
+        });
     }
+    lisa_telemetry::counter_add("sched.tasks_spawned", rules as u64);
+    if let Some((_, payload)) = panicked.into_inner().unwrap_or_else(|p| p.into_inner()) {
+        resume_unwind(payload);
+    }
+    width
 }
 
-/// Countdown latch for one `run_indexed` fan-out.
-struct WaitGroup {
-    remaining: AtomicUsize,
-    m: Mutex<()>,
-    cv: Condvar,
-}
-
-impl WaitGroup {
-    fn new(count: usize) -> WaitGroup {
-        WaitGroup { remaining: AtomicUsize::new(count), m: Mutex::new(()), cv: Condvar::new() }
-    }
-
-    fn done(&self) {
-        if self.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-            // Take the lock before notifying so a waiter between its
-            // is_done check and its wait cannot miss this wakeup.
-            let _g = self.m.lock().unwrap_or_else(|p| p.into_inner());
-            self.cv.notify_all();
-        }
-    }
-
-    fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::SeqCst) == 0
-    }
-
-    fn wait_brief(&self) {
-        let g = self.m.lock().unwrap_or_else(|p| p.into_inner());
-        if !self.is_done() {
-            let _ = self.cv.wait_timeout(g, Duration::from_micros(200));
-        }
-    }
-}
-
-/// Shared deadline-degradation flag (gate satellite of the scheduler):
-/// once the gate deadline expires, *already-queued* leaf tasks observe it
-/// and drop to degraded budgets instead of finishing at full budget. The
-/// flag latches, so "expired" can never flicker back to false within a
-/// run. With no deadline it never fires, keeping deadline-free runs
-/// deterministic.
+/// Shared deadline-degradation flag: once the gate deadline expires,
+/// rules that have not started yet run as fixed-path sanity checks, and
+/// a rule already running drops to degraded budgets for its remaining
+/// tests and queries. The flag latches, so "expired" can never flicker
+/// back to false within a run. With no deadline it never fires, keeping
+/// deadline-free runs deterministic.
 #[derive(Debug)]
 pub(crate) struct DegradeSignal {
     started: Instant,
@@ -417,40 +127,12 @@ impl DegradeSignal {
     }
 }
 
-/// What the pipeline needs to know about the run it is part of: the
-/// scheduler handle for leaf fan-out (absent = run everything inline)
-/// and the gate's degrade signal (absent = no deadline).
-#[derive(Clone, Copy)]
-pub(crate) struct GateCtx<'s, 'env> {
-    pub exec: Option<Exec<'s, 'env>>,
-    pub degrade: Option<&'env DegradeSignal>,
-}
-
-impl<'s, 'env> GateCtx<'s, 'env> {
-    /// A context with no scheduler: every fan-out runs inline. Used by
-    /// the public `Pipeline` entry points.
-    pub fn inline() -> GateCtx<'s, 'env> {
-        GateCtx { exec: None, degrade: None }
-    }
-
-    /// Run leaf-class `jobs`, returning results in job order. Fans out on
-    /// the scheduler when one is attached and has width; otherwise runs
-    /// inline in order.
-    pub fn fan_out<R, F>(&self, jobs: Vec<F>) -> Vec<R>
-    where
-        R: Send + 'env,
-        F: FnOnce() -> R + Send + 'env,
-    {
-        match self.exec {
-            Some(exec) if exec.workers() > 1 && jobs.len() > 1 => exec.run_indexed(jobs),
-            _ => jobs.into_iter().map(|j| j()).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::atomic::AtomicU64;
+    use std::thread::ThreadId;
 
     #[test]
     fn resolve_workers_zero_means_available_parallelism() {
@@ -462,93 +144,65 @@ mod tests {
     #[test]
     fn rule_tasks_run_in_spawn_order_at_width_one() {
         let order = Mutex::new(Vec::new());
-        let sched = Sched::new(1);
-        for i in 0..8 {
-            let order = &order;
-            sched.spawn_rule(move |_| {
-                order.lock().unwrap().push(i);
-            });
-        }
-        sched.run();
+        run_rules(1, 8, |i| order.lock().unwrap().push(i));
         assert_eq!(*order.lock().unwrap(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
-    fn run_indexed_returns_results_in_job_order() {
-        for workers in [1, 2, 4, 8] {
-            let out = Mutex::new(Vec::new());
-            let sched = Sched::new(workers);
-            sched.spawn_rule(|exec| {
-                let jobs: Vec<_> = (0..32u64)
-                    .map(|i| {
-                        move || {
-                            // Uneven job cost to shuffle completion order.
-                            std::thread::sleep(Duration::from_micros((i % 3) * 200));
-                            i * 10
-                        }
-                    })
-                    .collect();
-                *out.lock().unwrap() = exec.run_indexed(jobs);
-            });
-            sched.run();
-            let got = out.lock().unwrap().clone();
-            assert_eq!(got, (0..32u64).map(|i| i * 10).collect::<Vec<_>>(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn many_rules_with_nested_fanout_all_complete() {
+    fn many_rules_all_complete_across_workers() {
         let total = AtomicU64::new(0);
-        let sched = Sched::new(4);
-        for r in 0..12u64 {
-            let total = &total;
-            sched.spawn_rule(move |exec| {
-                let parts = exec.run_indexed(
-                    (0..8u64).map(|l| move || r * 100 + l).collect::<Vec<_>>(),
-                );
-                total.fetch_add(parts.iter().sum::<u64>(), Ordering::Relaxed);
-            });
-        }
-        sched.run();
-        let expect: u64 =
-            (0..12u64).map(|r| (0..8u64).map(|l| r * 100 + l).sum::<u64>()).sum();
-        assert_eq!(total.load(Ordering::Relaxed), expect);
-        let (spawned, _) = sched.counts();
-        assert_eq!(spawned, 12 + 12 * 7, "12 rules + 7 spawned leaves each");
+        let ran = Mutex::new(vec![0u32; 12]);
+        let width = run_rules(4, 12, |i| {
+            total.fetch_add(i as u64, Ordering::Relaxed);
+            ran.lock().unwrap()[i] += 1;
+        });
+        assert_eq!(width, 4);
+        assert_eq!(total.load(Ordering::Relaxed), (0..12).sum::<u64>());
+        assert!(
+            ran.lock().unwrap().iter().all(|&n| n == 1),
+            "every rule runs exactly once"
+        );
     }
 
     #[test]
-    fn leaf_panic_is_reraised_on_the_spawning_task() {
-        let caught = AtomicBool::new(false);
-        let sched = Sched::new(4);
-        sched.spawn_rule(|exec| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                exec.run_indexed(
-                    (0..4)
-                        .map(|i| {
-                            move || {
-                                if i == 2 {
-                                    panic!("leaf {i} failed");
-                                }
-                                i
-                            }
-                        })
-                        .collect::<Vec<_>>(),
-                )
-            }));
-            assert!(r.is_err(), "panic must surface to the spawner");
-            caught.store(true, Ordering::Relaxed);
+    fn width_is_capped_by_rule_count_and_one_rule_runs_inline() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::<ThreadId>::new());
+        let width = run_rules(8, 1, |_| {
+            seen.lock().unwrap().push(std::thread::current().id())
         });
-        sched.run();
-        assert!(caught.load(Ordering::Relaxed));
+        assert_eq!(width, 1);
+        assert_eq!(
+            *seen.lock().unwrap(),
+            vec![caller],
+            "one rule runs on the calling thread"
+        );
+
+        let seen = Mutex::new(HashSet::<ThreadId>::new());
+        let width = run_rules(8, 3, |_| {
+            seen.lock().unwrap().insert(std::thread::current().id());
+        });
+        assert_eq!(width, 3, "3 rules start at most 3 workers");
+        assert!(seen.lock().unwrap().len() <= 3);
     }
 
     #[test]
     fn uncaught_rule_panic_resurfaces_from_run() {
-        let sched = Sched::new(2);
-        sched.spawn_rule(|_| panic!("rule blew up"));
-        let r = catch_unwind(AssertUnwindSafe(|| sched.run()));
+        let settled = AtomicU64::new(0);
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            run_rules(2, 4, |i| {
+                if i == 1 {
+                    panic!("rule blew up");
+                }
+                settled.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
         assert!(r.is_err());
+        assert_eq!(
+            settled.load(Ordering::Relaxed),
+            3,
+            "the other rules still settle"
+        );
     }
 
     #[test]
@@ -561,12 +215,5 @@ mod tests {
         let never = DegradeSignal::new(Instant::now(), None);
         assert!(!never.expired());
         assert!(!never.was_hit());
-    }
-
-    #[test]
-    fn gate_ctx_inline_fans_out_in_order() {
-        let ctx = GateCtx::inline();
-        let got = ctx.fan_out((0..5).map(|i| move || i * 2).collect::<Vec<_>>());
-        assert_eq!(got, vec![0, 2, 4, 6, 8]);
     }
 }

@@ -313,11 +313,6 @@ impl DepHasher {
 pub struct DurableOptions {
     /// Directory holding the run's journal and snapshot.
     pub state_dir: PathBuf,
-    /// Scheduler width for each rule's leaf fan-out (0 = auto). Rules
-    /// themselves settle one at a time — the journal's replay order is
-    /// the registry order — but within a rule the concolic tests, SMT
-    /// queries, and alias chains still spread across this many workers.
-    pub workers: usize,
     /// Disk fault injection at the store's I/O seams (E11, tests).
     pub disk_faults: Option<Arc<dyn IoFaults>>,
     /// Checkpoint (snapshot + journal truncate) after every N fresh
@@ -347,10 +342,6 @@ impl Default for DurableOptions {
     fn default() -> Self {
         DurableOptions {
             state_dir: PathBuf::new(),
-            // Sequential by default: durable runs are usually one job of
-            // many inside `lisa serve`, which already parallelizes across
-            // jobs. Callers opt into per-rule fan-out explicitly.
-            workers: 1,
             disk_faults: None,
             checkpoint_every: 0,
             progress: None,
@@ -508,20 +499,12 @@ pub fn gate_durable(
             store.record_finished(outcome);
             cross_version += 1;
         } else {
-            // One rule at a time: the per-rule machinery (panic
-            // isolation, retries, budgets) is the gate engine on a
-            // singleton registry. `durable.workers` widens the fan-out
-            // *inside* the rule without touching the journal order.
+            // One rule at a time, in journal order, on this thread: the
+            // per-rule machinery (panic isolation, retries, budgets) is
+            // the gate engine on a singleton registry.
             let mut single = RuleRegistry::new();
             single.register(rule.clone());
-            let report = enforce_impl(
-                &single,
-                version,
-                config,
-                durable.workers,
-                gate,
-                durable.cache.as_ref(),
-            );
+            let report = enforce_impl(&single, version, config, 1, gate, durable.cache.as_ref());
             warnings.extend(report.warnings.iter().cloned());
             store.record_finished(outcome_of(&report.reports[0]));
         }

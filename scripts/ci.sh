@@ -111,6 +111,19 @@ awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 2.0) }' \
     || { echo "parallel gate: 4-worker speedup $SPEEDUP < 2.0x ($WORKLOAD)"; exit 1; }
 echo "parallel gate: ok (4-worker speedup ${SPEEDUP}x, $WORKLOAD)"
 
+# Benchmark correctness smoke: short cold-gate and warm-regate runs of
+# the benchmark at width nproc. Every operation checks its verdict
+# against the corpus ground truth for all 64 inputs; the result line
+# must report every operation correct and none failed.
+for WORKLOAD in cold-gate warm-regate; do
+    cargo run --release --offline --quiet --manifest-path gatebench/Cargo.toml -- \
+        --workload "$WORKLOAD" --seed 1 --seconds 2 --trace 0 > "$SMOKE/bench-$WORKLOAD.out"
+    grep -q '"correct": true' "$SMOKE/bench-$WORKLOAD.out" \
+        && grep -q '"failed": 0,' "$SMOKE/bench-$WORKLOAD.out" \
+        || { echo "benchmark smoke: $WORKLOAD"; cat "$SMOKE/bench-$WORKLOAD.out"; exit 1; }
+done
+echo "benchmark smoke: ok (cold-gate, warm-regate)"
+
 # Failover e2e: kill-at-every-frame-boundary byte-identity (cache on and
 # off), full-sync bootstrap, seeded stream-fault quarantine sweep, and
 # the process-level SIGKILL + promotion test.
@@ -174,6 +187,12 @@ SPORT=$((20000 + RANDOM % 20000))
     --listen "127.0.0.1:$SPORT" --workers 1 --queue-cap 2 --tenant-cap 2 \
     --tenants "alpha:4,beta:2,gamma:1,delta:1" &
 SERVE=$!
+# serve_load does not retry a refused connect, so wait until the daemon
+# listens; otherwise early clients count as lost replies.
+for _ in $(seq 100); do
+    "$LISA" submit --addr "127.0.0.1:$SPORT" --op ping > /dev/null 2>&1 && break
+    sleep 0.05
+done
 # serve_load itself asserts zero lost and zero malformed replies.
 target/release/serve_load --addr "127.0.0.1:$SPORT" --clients 48 --window-ms 100 \
     > "$SMOKE/load.out"

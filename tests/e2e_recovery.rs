@@ -7,6 +7,7 @@
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -61,8 +62,12 @@ fn registry() -> RuleRegistry {
     reg
 }
 
+/// A fresh directory per call: tests in this file run concurrently and
+/// several share a tag, so the name carries a process-wide sequence.
 fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lisa-e2e-rec-{tag}-{}", std::process::id()));
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("lisa-e2e-rec-{tag}-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("mkdir");
     dir
