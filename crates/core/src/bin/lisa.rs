@@ -74,10 +74,10 @@ use std::time::Duration;
 
 use lisa::faults::FAULT_PANIC_PREFIX;
 use lisa::report::{render_enforcement, render_rule_report};
-use lisa::service::request;
 use lisa::{
-    gate_durable, load_rules, load_system, serve, DurableOptions, FailMode, Gate, GateConfig,
-    GateDecision, GateOptions, Json, Pipeline, RuleRegistry, ServeConfig, StreamFaultInjector,
+    gate_durable, load_rules, load_system, request, serve, Addr, DurableOptions, FailMode, Gate,
+    GateConfig, GateDecision, GateOptions, Json, Pipeline, RuleRegistry, ServeConfig,
+    StreamFaultInjector,
 };
 use lisa_analysis::{execution_tree_filtered, CallGraph, TargetSpec, TreeLimits};
 use lisa_oracle::suggest_conditions;
@@ -449,15 +449,11 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<Outcome, String> {
         }
         other => return Err(format!("unknown --op {other:?}")),
     };
-    let reply = match flags.get("addr") {
-        Some(addr) => lisa::request_tcp(addr, &line)
-            .map_err(|e| format!("request to tcp {addr}: {e}"))?,
-        None => {
-            let socket = PathBuf::from(required(flags, "socket")?);
-            request(&socket, &line)
-                .map_err(|e| format!("request to {}: {e}", socket.display()))?
-        }
+    let addr = match flags.get("addr") {
+        Some(hostport) => Addr::Tcp(hostport.clone()),
+        None => Addr::Unix(PathBuf::from(required(flags, "socket")?)),
     };
+    let reply = request(&addr, &line).map_err(|e| format!("request to {addr}: {e}"))?;
     println!("{reply}");
     let parsed = Json::parse(&reply).map_err(|e| format!("bad reply: {e}"))?;
     match parsed.u64_of("exit") {

@@ -30,7 +30,7 @@
 //! - [`tenant`] — multi-tenant admission control, weighted-fair
 //!   queueing, and per-tenant availability-tactic state for the daemon,
 //! - [`netloop`] — the std-only `poll(2)` readiness loop multiplexing
-//!   the daemon's `--listen` TCP connections without threads.
+//!   every daemon listener's connections (unix and TCP) without threads.
 //!
 //! ```
 //! use lisa::{Pipeline, PipelineConfig, TestSelection};
@@ -111,9 +111,10 @@ pub use gate::{Gate, GateCache, GateConfig};
 pub use json::Json;
 pub use pipeline::{Pipeline, PipelineConfig, ResourceBudgets, TestSelection};
 pub use sched::resolve_workers;
+pub use netloop::Addr;
 pub use service::{
-    gate_durable, load_rules, load_system, request, request_tcp, run_key, serve,
-    DurableGateReport, DurableOptions, ServeConfig, ServeStats,
+    gate_durable, load_rules, load_system, request, run_key, serve, DurableGateReport,
+    DurableOptions, ServeConfig, ServeStats,
 };
 pub use tenant::{parse_tenant_specs, valid_tenant, TenantSpec, MAX_JOB_ID_LEN};
 pub use verdict::{ChainReport, ChainVerdict, PipelineStats, RuleReport, Violation};

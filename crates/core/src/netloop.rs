@@ -1,12 +1,18 @@
-//! A hand-rolled nonblocking readiness loop over `poll(2)`.
+//! A hand-rolled nonblocking readiness loop over `poll(2)`: the one
+//! connection path every `lisa serve` listener shares.
 //!
-//! The serve daemon's TCP front end multiplexes every pending client
-//! connection onto the supervisor thread: nonblocking sockets are
+//! The daemon's unix socket, `--listen`, `--repl-listen` and a follower's
+//! socket each get a [`NetGate`]. Every pending client connection is
+//! multiplexed onto the supervisor thread: nonblocking sockets are
 //! registered in a [`PollSet`], one `poll` call per supervision tick
-//! reports which are readable, and [`TcpGate`] advances each readable
-//! connection's line buffer. Thousands of idle clients therefore cost a
+//! reports which are readable, and each gate advances its readable
+//! connections' line buffers. Thousands of idle clients therefore cost a
 //! few bytes of buffer each and **zero threads** — worker threads are
-//! reserved for gate jobs, never for waiting on sockets.
+//! reserved for gate jobs, never for waiting on sockets — and no client,
+//! however silent, slow or long-winded, can hold the supervisor: this is
+//! the only place the daemon reads request bytes. [`Addr`] and [`Stream`]
+//! make the two transports one type, so the reply path never cares which
+//! one a request came in on.
 //!
 //! The build is std-only, so the two syscalls this needs (`poll`,
 //! `get/setrlimit`) are declared directly against the platform libc the
@@ -16,10 +22,13 @@
 //! with the argument invariants stated at the call site.
 #![allow(unsafe_code)]
 
-use std::io::{ErrorKind, Read};
-use std::net::{TcpListener, TcpStream};
+use std::fmt;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_ulong};
+use std::os::unix::net::{UnixListener, UnixStream};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// `struct pollfd` from `<poll.h>`.
@@ -128,6 +137,96 @@ impl PollSet {
     }
 }
 
+/// Where a daemon listens or a client connects.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Addr {
+    Unix(PathBuf),
+    Tcp(String),
+}
+
+impl fmt::Display for Addr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Addr::Unix(path) => write!(f, "unix:{}", path.display()),
+            Addr::Tcp(hostport) => write!(f, "tcp:{hostport}"),
+        }
+    }
+}
+
+impl Addr {
+    /// Open a blocking client connection.
+    pub fn connect(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Addr::Unix(path) => Stream::Unix(UnixStream::connect(path)?),
+            Addr::Tcp(hostport) => Stream::Tcp(TcpStream::connect(hostport.as_str())?),
+        })
+    }
+}
+
+/// A connected socket on either transport. Both carry the same NDJSON
+/// request line (and, after a `follow`, the same replication frames), so
+/// every reply byte is transport-independent.
+pub enum Stream {
+    Unix(UnixStream),
+    Tcp(TcpStream),
+}
+
+enum Listener {
+    Unix(UnixListener),
+    Tcp(TcpListener),
+}
+
+/// Evaluate `$body` on whichever socket a [`Stream`] or [`Listener`] holds.
+macro_rules! either {
+    ($ty:ident, $value:expr, $s:ident => $body:expr) => {
+        match $value {
+            $ty::Unix($s) => $body,
+            $ty::Tcp($s) => $body,
+        }
+    };
+}
+
+impl Stream {
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        either!(Stream, self, s => s.set_read_timeout(timeout))
+    }
+
+    pub(crate) fn shutdown(&self) -> io::Result<()> {
+        either!(Stream, self, s => s.shutdown(Shutdown::Both))
+    }
+}
+
+impl Read for Stream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        either!(Stream, self, s => s.read(buf))
+    }
+}
+
+impl Write for Stream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        either!(Stream, self, s => s.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        either!(Stream, self, s => s.flush())
+    }
+}
+
+impl AsRawFd for Stream {
+    fn as_raw_fd(&self) -> RawFd {
+        either!(Stream, self, s => s.as_raw_fd())
+    }
+}
+
+impl Listener {
+    fn accept(&self) -> io::Result<Stream> {
+        Ok(match self {
+            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
+            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
+        })
+    }
+}
+
 /// Upper bound on one NDJSON request line. Past it the connection gets a
 /// structured bad-request and is closed — a client spraying bytes
 /// without a newline must not grow daemon memory.
@@ -140,47 +239,53 @@ pub const CONN_IDLE_TIMEOUT: Duration = Duration::from_secs(120);
 /// One multiplexed client connection: the nonblocking stream and the
 /// bytes received so far (a partial request line).
 struct Conn {
-    stream: TcpStream,
+    stream: Stream,
     buf: Vec<u8>,
     opened: Instant,
 }
 
-/// What one pump produced for the dispatcher.
+/// What one pump produced for the dispatcher. Every stream handed back
+/// is blocking again, with bounded reads and writes, so a dead client
+/// cannot wedge whoever replies.
 #[derive(Default)]
 pub struct Pumped {
-    /// Complete request lines, each with its stream restored to blocking
-    /// mode (with a write timeout) for the reply path.
-    pub requests: Vec<(TcpStream, String)>,
+    /// Complete request lines.
+    pub requests: Vec<(Stream, String)>,
     /// Accepted past `max_conns`: the caller replies with a structured
     /// shed and closes.
-    pub over_capacity: Vec<TcpStream>,
+    pub over_capacity: Vec<Stream>,
     /// Exceeded [`MAX_REQUEST_LINE`]: the caller replies bad-request and
     /// closes.
-    pub over_length: Vec<TcpStream>,
+    pub over_length: Vec<Stream>,
     /// Connections dropped without producing a request (EOF, transport
     /// error, idle expiry).
     pub dropped: usize,
 }
 
-/// The nonblocking TCP front end: listener plus multiplexed connections.
-pub struct TcpGate {
-    listener: TcpListener,
+/// One listener plus its multiplexed connections.
+pub struct NetGate {
+    listener: Listener,
     conns: Vec<Conn>,
     max_conns: usize,
     /// Base index of this gate's fds within the current [`PollSet`]
-    /// (listener first, then conns in order). Set by [`TcpGate::register`].
+    /// (listener first, then conns in order). Set by [`NetGate::register`].
     base: usize,
     /// How many conns were registered this tick; accepts that land
     /// mid-pump wait for the next tick's poll.
     registered: usize,
 }
 
-impl TcpGate {
-    /// Bind the listener (nonblocking) on `addr`.
-    pub fn bind(addr: &str, max_conns: usize) -> Result<TcpGate, String> {
-        let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
-        listener.set_nonblocking(true).map_err(|e| format!("nonblocking {addr}: {e}"))?;
-        Ok(TcpGate {
+impl NetGate {
+    /// Bind a nonblocking listener on `addr` (a unix path must not exist).
+    pub fn bind(addr: &Addr, max_conns: usize) -> Result<NetGate, String> {
+        let listener = match addr {
+            Addr::Unix(path) => UnixListener::bind(path).map(Listener::Unix),
+            Addr::Tcp(hostport) => TcpListener::bind(hostport.as_str()).map(Listener::Tcp),
+        }
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+        either!(Listener, &listener, l => l.set_nonblocking(true))
+            .map_err(|e| format!("nonblocking {addr}: {e}"))?;
+        Ok(NetGate {
             listener,
             conns: Vec::new(),
             max_conns: max_conns.max(1),
@@ -189,9 +294,12 @@ impl TcpGate {
         })
     }
 
-    /// The address actually bound (resolves `:0` ephemeral ports).
-    pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        self.listener.local_addr().ok()
+    /// The TCP address actually bound (resolves `:0` ephemeral ports).
+    pub fn local_addr(&self) -> Option<SocketAddr> {
+        match &self.listener {
+            Listener::Tcp(l) => l.local_addr().ok(),
+            Listener::Unix(_) => None,
+        }
     }
 
     pub fn open_conns(&self) -> usize {
@@ -200,7 +308,7 @@ impl TcpGate {
 
     /// Register the listener and every connection in `set`.
     pub fn register(&mut self, set: &mut PollSet) {
-        self.base = set.push(self.listener.as_raw_fd());
+        self.base = set.push(either!(Listener, &self.listener, l => l.as_raw_fd()));
         for conn in &self.conns {
             set.push(conn.stream.as_raw_fd());
         }
@@ -214,12 +322,12 @@ impl TcpGate {
         if set.ready(self.base) {
             loop {
                 match self.listener.accept() {
-                    Ok((stream, _)) => {
+                    Ok(stream) => {
                         if self.conns.len() >= self.max_conns {
-                            out.over_capacity.push(stream);
+                            out.over_capacity.push(hand_back(stream));
                             continue;
                         }
-                        if stream.set_nonblocking(true).is_err() {
+                        if either!(Stream, &stream, s => s.set_nonblocking(true)).is_err() {
                             out.dropped += 1;
                             continue;
                         }
@@ -260,21 +368,26 @@ impl TcpGate {
                 }
                 ConnStep::OverLength => {
                     let conn = self.conns.swap_remove(i);
-                    out.over_length.push(conn.stream);
+                    out.over_length.push(hand_back(conn.stream));
                 }
                 ConnStep::Request(line) => {
                     let conn = self.conns.swap_remove(i);
-                    // Back to blocking for the reply path; bounded write
-                    // so a dead client cannot wedge whoever replies.
-                    let _ = conn.stream.set_nonblocking(false);
-                    let _ = conn.stream.set_read_timeout(Some(Duration::from_secs(2)));
-                    let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(5)));
-                    out.requests.push((conn.stream, line));
+                    out.requests.push((hand_back(conn.stream), line));
                 }
             }
         }
         out
     }
+}
+
+/// Back to blocking for the reply path, with bounded reads and writes.
+fn hand_back(stream: Stream) -> Stream {
+    either!(Stream, &stream, s => {
+        let _ = s.set_nonblocking(false);
+        let _ = s.set_read_timeout(Some(Duration::from_secs(2)));
+        let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
+    });
+    stream
 }
 
 enum ConnStep {
@@ -312,11 +425,14 @@ fn advance(conn: &mut Conn) -> ConnStep {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+
+    fn tcp_any() -> Addr {
+        Addr::Tcp("127.0.0.1:0".to_string())
+    }
 
     #[test]
     fn poll_reports_readiness_and_timeouts() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 8).expect("bind");
+        let mut gate = NetGate::bind(&tcp_any(), 8).expect("bind");
         let addr = gate.local_addr().expect("addr");
         let mut set = PollSet::new();
         gate.register(&mut set);
@@ -342,7 +458,7 @@ mod tests {
 
     #[test]
     fn request_lines_are_bounded() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 8).expect("bind");
+        let mut gate = NetGate::bind(&tcp_any(), 8).expect("bind");
         let addr = gate.local_addr().expect("addr");
         let mut client = TcpStream::connect(addr).expect("connect");
         let blob = vec![b'x'; MAX_REQUEST_LINE + 4096];
@@ -363,7 +479,7 @@ mod tests {
 
     #[test]
     fn connections_beyond_the_cap_are_handed_back() {
-        let mut gate = TcpGate::bind("127.0.0.1:0", 1).expect("bind");
+        let mut gate = NetGate::bind(&tcp_any(), 1).expect("bind");
         let addr = gate.local_addr().expect("addr");
         let _c1 = TcpStream::connect(addr).expect("first");
         let _c2 = TcpStream::connect(addr).expect("second");
@@ -377,6 +493,29 @@ mod tests {
             assert!(Instant::now() < deadline, "cap overflow never surfaced");
         }
         assert_eq!(gate.open_conns(), 1);
+    }
+
+    #[test]
+    fn unix_listener_parks_idle_clients_and_reads_requests() {
+        let path = std::env::temp_dir().join(format!("lisa-netloop-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let addr = Addr::Unix(path.clone());
+        let mut gate = NetGate::bind(&addr, 8).expect("bind");
+        let _idle = addr.connect().expect("idle client");
+        let mut client = addr.connect().expect("client");
+        client.write_all(b"{\"op\":\"ping\"}\n").expect("write");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut lines = Vec::new();
+        while lines.is_empty() {
+            let mut set = PollSet::new();
+            gate.register(&mut set);
+            set.wait(Duration::from_millis(50));
+            lines.extend(gate.pump(&set).requests.into_iter().map(|(_, line)| line));
+            assert!(Instant::now() < deadline, "unix request never surfaced");
+        }
+        assert_eq!(lines, ["{\"op\":\"ping\"}"]);
+        assert_eq!(gate.open_conns(), 1, "the silent client stays parked");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   a run killed at *any* journal-record boundary and resumed produces
 //!   a byte-identical final verdict artifact ([`DurableGateReport::verdicts_text`]).
 //! - [`serve`] — a daemon accepting gate jobs as newline-delimited JSON
-//!   over a unix socket and (with `--listen`) a multiplexed TCP
-//!   listener, processed by a supervised worker pool: panicked workers
-//!   are reaped and respawned, stalled workers (no heartbeat for the
+//!   over a unix socket and (with `--listen`) TCP, processed by a
+//!   supervised worker pool: panicked workers are reaped and
+//!   respawned, stalled workers (no heartbeat for the
 //!   tenant's `job_timeout`) abandoned, their jobs retried with backoff
 //!   and dead-lettered after `max_attempts`, with bounded-queue
 //!   backpressure and graceful drain on shutdown. Two isolation rules
@@ -28,9 +28,11 @@
 //! over `--tenants` weights via [`crate::tenant::FairQueues`]), and
 //! admission control sheds explicitly — a saturated tenant or global
 //! queue answers `{"status":"shed","retry_after_ms":...}` immediately
-//! instead of blocking or dropping the connection. The TCP front end is
-//! a hand-rolled `poll(2)` readiness loop ([`crate::netloop`]): idle
-//! clients cost no threads.
+//! instead of blocking or dropping the connection. Every listener — the
+//! unix socket, `--listen`, `--repl-listen`, a follower's socket — sits
+//! behind one hand-rolled `poll(2)` readiness loop ([`crate::netloop`]):
+//! idle clients cost no threads and can never stall the supervisor, and
+//! one dispatcher answers every request line.
 //!
 //! Parallel throughput comes from the worker pool across jobs; within a
 //! durable run, determinism wins over parallelism.
@@ -38,9 +40,6 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -66,7 +65,7 @@ use crate::enforce::{enforce_impl, FailMode, GateDecision, GateOptions, RuleRegi
 use crate::faults::FAULT_PANIC_PREFIX;
 use crate::gate::GateCache;
 use crate::json::{escape, Json};
-use crate::netloop::{raise_fd_limit, PollSet, TcpGate};
+use crate::netloop::{raise_fd_limit, Addr, NetGate, PollSet, Stream};
 use crate::pipeline::{PipelineConfig, TestSelection};
 use crate::tenant::{
     valid_tenant, Admitted, FairQueues, TenantSpec, MAX_JOB_ID_LEN,
@@ -634,7 +633,7 @@ pub struct ServeConfig {
     /// Explicit per-tenant queue bound; 0 means each tenant's bound is
     /// its weight-proportional share of `queue_cap`.
     pub tenant_cap: usize,
-    /// Maximum concurrently parked TCP connections on `listen`; accepts
+    /// Maximum concurrently parked connections per listener; accepts
     /// past it are answered with a structured shed and closed.
     pub max_conns: usize,
 }
@@ -697,38 +696,6 @@ pub struct ServeStats {
     pub promotions: u64,
 }
 
-/// The response channel a job (or transient request) travels with: a
-/// unix-socket peer or a TCP peer from the `--listen` readiness loop.
-/// Both transports speak the same one-line NDJSON protocol, so replies
-/// are byte-identical across them.
-enum Responder {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Responder {
-    /// Write one reply line. A failed write is counted in
-    /// `serve.reply_errors` and the connection is torn down cleanly —
-    /// a dead client must cost a counter bump, never a wedged worker.
-    /// Returns whether the reply reached the kernel.
-    fn send(&mut self, line: &str) -> bool {
-        let res = match self {
-            Responder::Unix(s) => write_reply(s, line),
-            Responder::Tcp(s) => write_reply(s, line),
-        };
-        if let Err(e) = res {
-            lisa_telemetry::counter_add("serve.reply_errors", 1);
-            lisa_telemetry::note("serve", || format!("reply failed: {e}"));
-            match self {
-                Responder::Unix(s) => drop(s.shutdown(std::net::Shutdown::Both)),
-                Responder::Tcp(s) => drop(s.shutdown(std::net::Shutdown::Both)),
-            }
-            return false;
-        }
-        true
-    }
-}
-
 /// One queued gate job. The response stream travels with the job so
 /// whoever settles it — worker, or supervisor on dead-letter — can reply.
 struct Job {
@@ -741,7 +708,7 @@ struct Job {
     /// only), `stall` (sleep past the job timeout).
     chaos: Option<String>,
     attempts: u32,
-    stream: Responder,
+    stream: Stream,
 }
 
 /// A worker's in-flight job: parked here while processing so the
@@ -863,19 +830,14 @@ impl Drop for DirGuard {
     }
 }
 
-fn write_reply(stream: &mut impl Write, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
-/// Reply on a transient (non-job) connection. The client may have gone
-/// away; a failed reply must not take the daemon down with it — but it
-/// is counted, and the connection closes when the stream drops.
-fn respond(stream: &mut impl Write, line: &str) {
-    if let Err(e) = write_reply(stream, line) {
+/// Write one reply line. A failed write is counted in
+/// `serve.reply_errors` and the connection is torn down cleanly — a dead
+/// client must cost a counter bump, never a wedged worker.
+fn send(stream: &mut Stream, line: &str) {
+    if let Err(e) = stream.write_all(format!("{line}\n").as_bytes()) {
         lisa_telemetry::counter_add("serve.reply_errors", 1);
         lisa_telemetry::note("serve", || format!("reply failed: {e}"));
+        let _ = stream.shutdown();
     }
 }
 
@@ -1085,7 +1047,7 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
             Ok(report) => done_response(&job.id, report),
             Err(e) => error_response(&job.id, "error", e),
         };
-        job.stream.send(&line);
+        send(&mut job.stream, &line);
         shared.jobs_done.fetch_add(1, Ordering::Relaxed);
         let elapsed_us = job_started.elapsed().as_micros() as u64;
         // Settle the tenant's accounting: active count, done count, one
@@ -1112,36 +1074,24 @@ fn worker_loop(shared: Arc<Shared>, slot: Slot, cancel: Arc<AtomicBool>) {
 // Replication: leader-side shipping
 // ---------------------------------------------------------------------------
 
-/// Where a follower finds its leader's replication endpoint.
-#[derive(Debug, PartialEq, Eq)]
-enum ReplAddr {
-    Unix(PathBuf),
-    Tcp(String),
-}
-
 /// Parse a leader address: `unix:<path>`, `tcp:<host:port>`, a bare
 /// path (anything containing `/`), or a bare `host:port`.
-fn parse_repl_addr(spec: &str) -> ReplAddr {
+fn parse_repl_addr(spec: &str) -> Addr {
     if let Some(path) = spec.strip_prefix("unix:") {
-        ReplAddr::Unix(PathBuf::from(path))
+        Addr::Unix(PathBuf::from(path))
     } else if let Some(hostport) = spec.strip_prefix("tcp:") {
-        ReplAddr::Tcp(hostport.to_string())
+        Addr::Tcp(hostport.to_string())
     } else if spec.contains('/') {
-        ReplAddr::Unix(PathBuf::from(spec))
+        Addr::Unix(PathBuf::from(spec))
     } else {
-        ReplAddr::Tcp(spec.to_string())
+        Addr::Tcp(spec.to_string())
     }
 }
-
-/// A replication transport: the unix socket and the TCP listener both
-/// carry the same handshake line followed by binary frames.
-trait ReplStream: Read + Write + Send {}
-impl<T: Read + Write + Send> ReplStream for T {}
 
 /// Stream the leader's state to one follower: full sync first, then
 /// live frames off the bus, with heartbeats in idle gaps. Runs on its
 /// own thread until the follower drops or the daemon shuts down.
-fn ship_to_follower(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, interval: Duration) {
+fn ship_to_follower(mut stream: Stream, shared: &Arc<Shared>, interval: Duration) {
     shared.followers.fetch_add(1, Ordering::SeqCst);
     if let Err(e) = ship_loop(&mut stream, shared, interval) {
         lisa_telemetry::note("repl", || format!("follower detached: {e}"));
@@ -1149,18 +1099,14 @@ fn ship_to_follower(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, inter
     shared.followers.fetch_sub(1, Ordering::SeqCst);
 }
 
-fn ship_frame(stream: &mut Box<dyn ReplStream>, payload: &[u8]) -> std::io::Result<()> {
+fn ship_frame(stream: &mut Stream, payload: &[u8]) -> std::io::Result<()> {
     stream.write_all(&frame(payload))?;
     lisa_telemetry::counter_add("repl.frames_shipped", 1);
     lisa_telemetry::counter_add("repl.bytes_shipped", (FRAME_HEADER + payload.len()) as u64);
     Ok(())
 }
 
-fn ship_loop(
-    stream: &mut Box<dyn ReplStream>,
-    shared: &Arc<Shared>,
-    interval: Duration,
-) -> std::io::Result<()> {
+fn ship_loop(stream: &mut Stream, shared: &Arc<Shared>, interval: Duration) -> std::io::Result<()> {
     let bus = &shared.repl;
     let (payloads, mut pos) = bus.sync_payloads();
     for p in &payloads {
@@ -1203,10 +1149,12 @@ fn ship_loop(
 }
 
 /// Acknowledge a `follow` handshake and hand the stream to a shipper
-/// thread that owns it for the rest of the daemon's life.
-fn start_shipper(mut stream: Box<dyn ReplStream>, shared: &Arc<Shared>, config: &ServeConfig) {
+/// thread that owns it for the rest of the daemon's life. The write
+/// timeout the gate set on the stream keeps a follower that stops
+/// reading from wedging its shipper, and with it daemon shutdown.
+fn start_shipper(mut stream: Stream, shared: &Arc<Shared>, config: &ServeConfig) {
     let (seq, _) = shared.repl.position();
-    respond(&mut stream, &format!("{{\"status\":\"ok\",\"repl\":{REPL_VERSION},\"seq\":{seq}}}"));
+    send(&mut stream, &format!("{{\"status\":\"ok\",\"repl\":{REPL_VERSION},\"seq\":{seq}}}"));
     lisa_telemetry::counter_add("repl.followers_attached", 1);
     let handle = {
         let shared = Arc::clone(shared);
@@ -1318,21 +1266,12 @@ enum FollowerExit {
     Promoted,
 }
 
-fn follower_connect(addr: &ReplAddr) -> std::io::Result<Box<dyn ReplStream>> {
+fn follower_connect(addr: &Addr) -> std::io::Result<Stream> {
+    let stream = addr.connect()?;
     // Short read timeouts keep the client loop responsive to `stop` and
     // let it notice staleness without a dedicated timer thread.
-    match addr {
-        ReplAddr::Unix(path) => {
-            let s = UnixStream::connect(path)?;
-            s.set_read_timeout(Some(Duration::from_millis(200)))?;
-            Ok(Box::new(s))
-        }
-        ReplAddr::Tcp(hostport) => {
-            let s = TcpStream::connect(hostport.as_str())?;
-            s.set_read_timeout(Some(Duration::from_millis(200)))?;
-            Ok(Box::new(s))
-        }
-    }
+    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    Ok(stream)
 }
 
 /// The follower's stream client: connect, follow, reconnect with
@@ -1341,7 +1280,7 @@ fn follower_connect(addr: &ReplAddr) -> std::io::Result<Box<dyn ReplStream>> {
 /// a dead leader is promotion (decided by the supervisor from
 /// [`FollowState`] staleness), not giving up.
 fn follower_client(
-    addr: ReplAddr,
+    addr: Addr,
     state: Arc<FollowState>,
     applier: Arc<Applier>,
     retry: RetryPolicy,
@@ -1380,7 +1319,7 @@ fn follower_client(
 /// Run one connected session: handshake, then decode-and-apply until
 /// EOF, corruption, or shutdown.
 fn follow_stream(
-    mut stream: Box<dyn ReplStream>,
+    mut stream: Stream,
     state: &FollowState,
     applier: &Applier,
     stop: &AtomicBool,
@@ -1544,14 +1483,16 @@ fn apply_wire(
     }
 }
 
-/// Run follower mode on the already-bound unix socket: mirror the
-/// leader into the state root, answer read-only ops, and decide
-/// promotion. Returns whether we drained or should take over.
+/// Run follower mode on the already-bound unix socket (`gates` holds
+/// just that one listener): mirror the leader into the state root,
+/// answer read-only ops, and decide promotion. Returns whether we drained
+/// or should take over.
 fn run_follower(
-    listener: &UnixListener,
+    gates: &mut [(NetGate, Endpoint)],
     config: &ServeConfig,
-    addr: ReplAddr,
+    addr: Addr,
     metrics_journal: &mut Option<Journal>,
+    stats: &mut ServeStats,
 ) -> FollowerExit {
     let state = Arc::new(FollowState::new());
     let applier = match Applier::new(&config.state_root) {
@@ -1573,22 +1514,12 @@ fn run_follower(
             follower_client(addr, state, applier, retry, stop, faults, stale_after)
         })
     };
+    let mut node = Node { config, stats, draining: false, role: Role::Follower(&state) };
+    let mut poll = PollSet::new();
     let mut last_snapshot = Instant::now();
-    let mut drained = false;
     let exit = loop {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    handle_follower_connection(stream, config, &state, &mut drained)
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    lisa_telemetry::note("serve", || format!("accept failed: {e}"));
-                    break;
-                }
-            }
-        }
-        if drained {
+        tick(gates, &mut poll, &mut node);
+        if node.draining {
             break FollowerExit::Drained;
         }
         if state.synced.load(Ordering::SeqCst) && state.activity_age() > config.heartbeat_timeout
@@ -1604,69 +1535,10 @@ fn run_follower(
             snapshot_metrics(metrics_journal);
             last_snapshot = Instant::now();
         }
-        std::thread::sleep(Duration::from_millis(10));
     };
     stop.store(true, Ordering::SeqCst);
     let _ = client.join();
     exit
-}
-
-/// One NDJSON request in follower mode: read-only ops plus `shutdown`.
-/// Writes are refused with a structured `read-only` reply (Degradation:
-/// the follower keeps serving what it can, never what it can't).
-fn handle_follower_connection(
-    mut stream: UnixStream,
-    config: &ServeConfig,
-    state: &Arc<FollowState>,
-    drained: &mut bool,
-) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
-    }
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            respond(&mut stream, &error_response("", "bad-request", &format!("bad JSON: {e}")));
-            return;
-        }
-    };
-    if let Err(e) = version_ok(&request) {
-        respond(&mut stream, &error_response("", "bad-request", &e));
-        return;
-    }
-    match request.str_of("op").unwrap_or("gate") {
-        "ping" => respond(&mut stream, "{\"status\":\"ok\"}"),
-        "stats" => respond(&mut stream, &follower_stats_response(state)),
-        "verdict" => {
-            let id = request.str_of("job_id").unwrap_or("");
-            respond(&mut stream, &verdict_response(&config.state_root, id));
-        }
-        "shutdown" => {
-            *drained = true;
-            respond(&mut stream, "{\"status\":\"draining\"}");
-        }
-        "gate" => respond(
-            &mut stream,
-            &error_response(
-                request.str_of("job_id").unwrap_or(""),
-                "read-only",
-                "follower is read-only while its leader is alive; submit to the leader",
-            ),
-        ),
-        other => respond(
-            &mut stream,
-            &error_response("", "bad-request", &format!("unknown op {other:?}")),
-        ),
-    }
 }
 
 /// The follower's `stats` reply: role, replication progress, and the
@@ -1727,52 +1599,6 @@ fn verdict_response(state_root: &Path, job_id: &str) -> String {
         state.finished.len(),
         fnv1a(digest.as_bytes()),
     )
-}
-
-/// One connection on the TCP replication listener. Only `ping` and
-/// `follow` are spoken here — gate submissions stay on the unix socket,
-/// so exposing the replication port never exposes the write path.
-fn handle_repl_tcp(mut stream: TcpStream, config: &ServeConfig, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
-    }
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            respond(&mut stream, &error_response("", "bad-request", &format!("bad JSON: {e}")));
-            return;
-        }
-    };
-    if let Err(e) = version_ok(&request) {
-        respond(&mut stream, &error_response("", "bad-request", &e));
-        return;
-    }
-    match request.str_of("op").unwrap_or("") {
-        "ping" => respond(&mut stream, "{\"status\":\"ok\"}"),
-        "follow" => {
-            // A follower that stops reading must not wedge its shipper
-            // (and with it, daemon shutdown) forever.
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-            start_shipper(Box::new(stream), shared, config);
-        }
-        other => respond(
-            &mut stream,
-            &error_response(
-                "",
-                "bad-request",
-                &format!("unsupported op {other:?} on the replication listener"),
-            ),
-        ),
-    }
 }
 
 /// How often the daemon journals a metrics snapshot while running.
@@ -1847,11 +1673,14 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         }
     }
     let _ = std::fs::remove_file(&config.socket);
-    let listener = UnixListener::bind(&config.socket)
-        .map_err(|e| format!("bind {}: {e}", config.socket.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
+    // Every listener may park `max_conns` sockets: leave headroom past
+    // the default 1024 soft fd limit.
+    raise_fd_limit(config.max_conns as u64 + 512);
+    let socket = NetGate::bind(&Addr::Unix(config.socket.clone()), config.max_conns)?;
+    // The listeners this node polls, each with the ops it serves. A
+    // follower polls its socket alone until promotion makes it a leader's.
+    let first = if config.follow.is_some() { Endpoint::Follower } else { Endpoint::Socket };
+    let mut gates = vec![(socket, first)];
     std::fs::create_dir_all(&config.state_root)
         .map_err(|e| format!("mkdir {}: {e}", config.state_root.display()))?;
 
@@ -1871,7 +1700,8 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     // path below on the already-bound socket, so the address clients
     // know keeps working across the role change.
     if let Some(spec) = &config.follow {
-        match run_follower(&listener, config, parse_repl_addr(spec), &mut metrics_journal) {
+        let addr = parse_repl_addr(spec);
+        match run_follower(&mut gates, config, addr, &mut metrics_journal, &mut stats) {
             FollowerExit::Drained => {
                 snapshot_metrics(&mut metrics_journal);
                 let _ = std::fs::remove_file(&config.socket);
@@ -1884,32 +1714,18 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                     "repl.promoted",
                     "leader silent past heartbeat timeout; follower taking over",
                 );
+                gates[0].1 = Endpoint::Socket;
             }
         }
     }
 
-    let repl_listener = match &config.repl_listen {
-        Some(addr) => {
-            let l = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
-            l.set_nonblocking(true).map_err(|e| format!("nonblocking repl listener: {e}"))?;
-            Some(l)
+    let tcp_listeners = [(&config.repl_listen, Endpoint::Repl), (&config.listen, Endpoint::Listen)];
+    for (addr, endpoint) in tcp_listeners {
+        if let Some(addr) = addr {
+            gates.push((NetGate::bind(&Addr::Tcp(addr.clone()), config.max_conns)?, endpoint));
+            lisa_telemetry::note("serve", || format!("listening on tcp {addr}"));
         }
-        None => None,
-    };
-
-    // The TCP gate front end: nonblocking accept plus poll(2)-driven
-    // readiness over parked connections, all on this thread.
-    let mut tcp_gate = match &config.listen {
-        Some(addr) => {
-            // Thousands of parked sockets need headroom past the
-            // default 1024 soft fd limit.
-            raise_fd_limit(config.max_conns as u64 + 512);
-            let gate = TcpGate::bind(addr, config.max_conns)?;
-            lisa_telemetry::note("serve", || format!("gate listening on tcp {addr}"));
-            Some(gate)
-        }
-        None => None,
-    };
+    }
 
     // 0 = auto-size the pool to the machine, like the gate scheduler.
     let workers = crate::sched::resolve_workers(config.workers);
@@ -1946,93 +1762,23 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     });
     let mut pool: Vec<Worker> = (0..workers).map(|i| spawn_worker(&shared, i)).collect();
     let mut poll = PollSet::new();
-
     let mut pending_retries: Vec<(Job, Instant)> = Vec::new();
-    let mut next_job = 0u64;
-    let mut draining = false;
+    let mut node = Node {
+        config,
+        stats: &mut stats,
+        draining: false,
+        role: Role::Leader { shared: &shared, next_job: 0 },
+    };
 
     loop {
-        // 0. One poll(2) over everything: the unix listener, the repl
-        // listener, and every parked TCP connection. The 10ms cap keeps
-        // supervision (reaping, retries, snapshots) ticking with no I/O;
-        // readiness wakes the loop immediately.
-        poll.clear();
-        poll.push(listener.as_raw_fd());
-        if let Some(l) = &repl_listener {
-            poll.push(l.as_raw_fd());
-        }
-        if let Some(gate) = &mut tcp_gate {
-            gate.register(&mut poll);
-        }
-        poll.wait(Duration::from_millis(10));
-
-        // 1. Accept one round of connections.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => handle_connection(
-                    stream,
-                    config,
-                    &shared,
-                    &mut stats,
-                    &mut next_job,
-                    &mut draining,
-                ),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) => {
-                    lisa_telemetry::note("serve", || format!("accept failed: {e}"));
-                    break;
-                }
-            }
-        }
-        if let Some(l) = &repl_listener {
-            loop {
-                match l.accept() {
-                    Ok((stream, _)) => handle_repl_tcp(stream, config, &shared),
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) => {
-                        lisa_telemetry::note("serve", || format!("repl accept failed: {e}"));
-                        break;
-                    }
-                }
-            }
-        }
-
-        // 1b. Pump the TCP gate: accept new connections, advance every
-        // readable parked one, dispatch each completed request line.
-        if let Some(gate) = &mut tcp_gate {
-            let pumped = gate.pump(&poll);
-            for s in pumped.over_capacity {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                stats.rejected_overload += 1;
-                lisa_telemetry::counter_add("serve.shed", 1);
-                Responder::Tcp(s).send(&shed_response("", "", 1000, "connection limit reached"));
-            }
-            for s in pumped.over_length {
-                let _ = s.set_nonblocking(false);
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                Responder::Tcp(s).send(&error_response(
-                    "",
-                    "bad-request",
-                    "request line exceeds the 64KiB bound",
-                ));
-            }
-            if pumped.dropped > 0 {
-                lisa_telemetry::counter_add("serve.conns_dropped", pumped.dropped as u64);
-            }
-            for (s, line) in pumped.requests {
-                dispatch_request(
-                    &line,
-                    Responder::Tcp(s),
-                    config,
-                    &shared,
-                    &mut stats,
-                    &mut next_job,
-                    &mut draining,
-                );
-            }
-            shared.listen_conns.store(gate.open_conns() as u64, Ordering::Relaxed);
-        }
+        // 1. Wait for I/O on every listener, then answer what arrived.
+        tick(&mut gates, &mut poll, &mut node);
+        let listen_conns: usize = gates
+            .iter()
+            .filter(|(_, endpoint)| *endpoint == Endpoint::Listen)
+            .map(|(gate, _)| gate.open_conns())
+            .sum();
+        shared.listen_conns.store(listen_conns as u64, Ordering::Relaxed);
 
         // 2. Reap panicked workers, abandon stalled ones; recover jobs.
         // Stall detection honors per-tenant job timeouts; the roster is
@@ -2079,12 +1825,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 };
                 if job.attempts >= config.max_attempts {
                     let why = if stalled { "stalled" } else { "worker panicked" };
-                    job.stream.send(&error_response(
-                        &job.id,
-                        "dead-letter",
-                        &format!("{why}; gave up after {} attempt(s)", job.attempts),
-                    ));
-                    stats.dead_letters += 1;
+                    let reason = format!("{why}; gave up after {} attempt(s)", job.attempts);
+                    send(&mut job.stream, &error_response(&job.id, "dead-letter", &reason));
+                    node.stats.dead_letters += 1;
                     shared
                         .queue
                         .lock()
@@ -2096,12 +1839,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                     // — dead-letter now, fast-fail its submissions for
                     // the cooldown instead of feeding workers jobs that
                     // keep failing.
-                    job.stream.send(&error_response(
-                        &job.id,
-                        "dead-letter",
-                        "tenant retry budget exhausted; tenant degraded",
-                    ));
-                    stats.dead_letters += 1;
+                    let reason = "tenant retry budget exhausted; tenant degraded";
+                    send(&mut job.stream, &error_response(&job.id, "dead-letter", reason));
+                    node.stats.dead_letters += 1;
                     lisa_telemetry::counter_add("serve.tenant_degraded", 1);
                     shared
                         .queue
@@ -2112,7 +1852,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 } else {
                     let due = Instant::now() + config.retry.backoff(job.attempts);
                     pending_retries.push((job, due));
-                    stats.retries += 1;
+                    node.stats.retries += 1;
                 }
             }
             if panicked {
@@ -2127,7 +1867,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             // can never grab a job the replacement parked, nor answer one
             // job's client with another job's verdict.
             *worker = spawn_worker(&shared, widx);
-            stats.respawned_workers += 1;
+            node.stats.respawned_workers += 1;
             lisa_telemetry::counter_add("serve.respawned_workers", 1);
             lisa_telemetry::event(
                 "serve.worker_respawned",
@@ -2165,7 +1905,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         }
 
         // 5. Drain: queue empty, no in-flight jobs, no pending retries.
-        if draining {
+        if node.draining {
             let queue_empty = shared
                 .queue
                 .lock()
@@ -2180,7 +1920,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
                 break;
             }
         }
-        // No sleep here: step 0's poll(2) is the loop's wait.
+        // No sleep here: step 1's poll(2) is the loop's wait.
     }
 
     shared.shutdown.store(true, Ordering::SeqCst);
@@ -2366,201 +2106,213 @@ fn version_ok(request: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// Read one NDJSON request from a fresh unix-socket connection and
-/// dispatch it.
-fn handle_connection(
-    mut stream: UnixStream,
-    config: &ServeConfig,
-    shared: &Arc<Shared>,
-    stats: &mut ServeStats,
-    next_job: &mut u64,
-    draining: &mut bool,
-) {
-    // Requests are one short line; a slow or silent client gets cut off
-    // rather than wedging the supervisor.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let mut line = String::new();
-    if BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    })
-    .read_line(&mut line)
-    .is_err()
-    {
-        respond(&mut stream, &error_response("", "bad-request", "could not read request line"));
-        return;
-    }
-    dispatch_request(&line, Responder::Unix(stream), config, shared, stats, next_job, draining);
+/// Which listener a request arrived on. Parsing, versioning and every
+/// reply byte are shared; [`Endpoint::refusal`] is the one table of which
+/// ops each listener serves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Endpoint {
+    /// The leader's unix socket.
+    Socket,
+    /// `--listen`.
+    Listen,
+    /// `--repl-listen`.
+    Repl,
+    /// A follower's unix socket.
+    Follower,
 }
 
-/// Dispatch one complete NDJSON request line. Shared by the unix-socket
-/// accept path and the TCP readiness loop: both transports speak exactly
-/// the same protocol, so per-job replies are byte-identical across them.
-fn dispatch_request(
-    line: &str,
-    mut stream: Responder,
-    config: &ServeConfig,
-    shared: &Arc<Shared>,
-    stats: &mut ServeStats,
-    next_job: &mut u64,
-    draining: &mut bool,
-) {
-    let request = match Json::parse(line.trim()) {
-        Ok(v) => v,
-        Err(e) => {
-            stream.send(&error_response("", "bad-request", &format!("bad JSON: {e}")));
-            return;
+impl Endpoint {
+    /// `None` serves `op` here; `Some(reply)` refuses it.
+    fn refusal(self, op: &str, request: &Json) -> Option<String> {
+        let bad_request = |why: &str| Some(error_response("", "bad-request", why));
+        match (self, op) {
+            (Endpoint::Socket, _) => None,
+            // The gate listener never exposes the replication stream.
+            (Endpoint::Listen, "follow") => {
+                bad_request("`follow` is not served on the gate listener; use --repl-listen")
+            }
+            (Endpoint::Listen, _) => None,
+            // Exposing the replication port never exposes the write path.
+            (Endpoint::Repl, "ping" | "follow") => None,
+            (Endpoint::Repl, _) => bad_request(&format!(
+                "unsupported op {:?} on the replication listener",
+                request.str_of("op").unwrap_or("")
+            )),
+            (Endpoint::Follower, "ping" | "stats" | "verdict" | "shutdown") => None,
+            // Degradation: the follower keeps serving what it can, never
+            // what it can't.
+            (Endpoint::Follower, "gate") => Some(error_response(
+                request.str_of("job_id").unwrap_or(""),
+                "read-only",
+                "follower is read-only while its leader is alive; submit to the leader",
+            )),
+            (Endpoint::Follower, other) => bad_request(&format!("unknown op {other:?}")),
         }
+    }
+}
+
+/// What requests act on: a leader's job pool, or a follower's view of
+/// its replication stream.
+enum Role<'a> {
+    Leader { shared: &'a Arc<Shared>, next_job: u64 },
+    Follower(&'a FollowState),
+}
+
+/// The request-handling half of one node's supervisor loop.
+struct Node<'a> {
+    config: &'a ServeConfig,
+    stats: &'a mut ServeStats,
+    /// Set by `shutdown`: a leader drains, a follower exits.
+    draining: bool,
+    role: Role<'a>,
+}
+
+/// One supervision tick's I/O: a single poll(2) over every listener and
+/// parked connection, then each listener's pump. The 10ms cap keeps
+/// supervision (reaping, retries, snapshots, promotion) ticking with no
+/// I/O; readiness wakes the loop immediately.
+fn tick(gates: &mut [(NetGate, Endpoint)], poll: &mut PollSet, node: &mut Node<'_>) {
+    poll.clear();
+    for (gate, _) in gates.iter_mut() {
+        gate.register(poll);
+    }
+    poll.wait(Duration::from_millis(10));
+    for (gate, endpoint) in gates.iter_mut() {
+        node.pump(gate, *endpoint, poll);
+    }
+}
+
+impl Node<'_> {
+    /// Accept and advance one listener's connections, then answer what
+    /// the pump produced.
+    fn pump(&mut self, gate: &mut NetGate, endpoint: Endpoint, poll: &PollSet) {
+        let pumped = gate.pump(poll);
+        for mut stream in pumped.over_capacity {
+            self.stats.rejected_overload += 1;
+            lisa_telemetry::counter_add("serve.shed", 1);
+            send(&mut stream, &shed_response("", "", 1000, "connection limit reached"));
+        }
+        for mut stream in pumped.over_length {
+            let why = "request line exceeds the 64KiB bound";
+            send(&mut stream, &error_response("", "bad-request", why));
+        }
+        if pumped.dropped > 0 {
+            lisa_telemetry::counter_add("serve.conns_dropped", pumped.dropped as u64);
+        }
+        for (stream, line) in pumped.requests {
+            self.dispatch(&line, stream, endpoint);
+        }
+    }
+
+    /// Answer one complete NDJSON request line: parse and version-check
+    /// it once, consult the endpoint's op table, then run the op.
+    fn dispatch(&mut self, line: &str, mut stream: Stream, endpoint: Endpoint) {
+        let request = match Json::parse(line.trim()) {
+            Ok(v) => v,
+            Err(e) => {
+                let why = format!("bad JSON: {e}");
+                return send(&mut stream, &error_response("", "bad-request", &why));
+            }
+        };
+        if let Err(e) = version_ok(&request) {
+            return send(&mut stream, &error_response("", "bad-request", &e));
+        }
+        let op = request.str_of("op").unwrap_or("gate");
+        if let Some(refused) = endpoint.refusal(op, &request) {
+            return send(&mut stream, &refused);
+        }
+        let reply = match (op, &mut self.role) {
+            ("ping", _) => "{\"status\":\"ok\"}".to_string(),
+            ("stats", Role::Leader { shared, .. }) => stats_response(shared, self.stats),
+            ("stats", Role::Follower(state)) => follower_stats_response(state),
+            ("verdict", _) => match request.str_of("job_id").unwrap_or("") {
+                id if id.len() > MAX_JOB_ID_LEN => job_id_too_long(id.len()),
+                id => verdict_response(&self.config.state_root, id),
+            },
+            ("shutdown", _) => {
+                self.draining = true;
+                "{\"status\":\"draining\"}".to_string()
+            }
+            ("follow", Role::Leader { shared, .. }) => {
+                return start_shipper(stream, shared, self.config)
+            }
+            ("gate", Role::Leader { .. }) if self.draining => {
+                error_response("", "shutting-down", "daemon is draining")
+            }
+            ("gate", Role::Leader { shared, next_job }) => {
+                match gate_job(&request, next_job) {
+                    Ok(job) => return admit(job(stream), shared, self.stats),
+                    Err(refused) => refused,
+                }
+            }
+            (other, _) => error_response("", "bad-request", &format!("unknown op {other:?}")),
+        };
+        send(&mut stream, &reply);
+    }
+}
+
+/// Validate a `gate` request. `Ok` builds the job once its reply stream
+/// is attached; `Err` is the bad-request reply.
+fn gate_job(request: &Json, next_job: &mut u64) -> Result<impl FnOnce(Stream) -> Job, String> {
+    let bad_request = |why: &str| error_response("", "bad-request", why);
+    let tenant = request.str_of("tenant").unwrap_or("default");
+    if !valid_tenant(tenant) {
+        return Err(bad_request("tenant must be 1..=32 chars of [A-Za-z0-9_-]"));
+    }
+    let (Some(system), Some(rules)) = (request.str_of("system"), request.str_of("rules")) else {
+        return Err(bad_request("gate needs `system` and `rules`"));
     };
-    if let Err(e) = version_ok(&request) {
-        stream.send(&error_response("", "bad-request", &e));
-        return;
+    let fail_mode = request
+        .str_of("fail_mode")
+        .unwrap_or("closed")
+        .parse::<FailMode>()
+        .map_err(|e| bad_request(&e))?;
+    if let Some(id) = request.str_of("job_id") {
+        if id.len() > MAX_JOB_ID_LEN {
+            return Err(job_id_too_long(id.len()));
+        }
     }
-    match request.str_of("op").unwrap_or("gate") {
-        "ping" => {
-            stream.send("{\"status\":\"ok\"}");
+    *next_job += 1;
+    let id = request.str_of("job_id").map_or_else(|| format!("job-{next_job}"), str::to_string);
+    let (tenant, system, rules) = (tenant.to_string(), system.to_string(), rules.to_string());
+    let chaos = request.str_of("chaos").map(str::to_string);
+    Ok(move |stream| Job { id, tenant, system, rules, fail_mode, chaos, attempts: 0, stream })
+}
+
+/// Queue a job on its tenant's queue. From here the stream travels with
+/// the job: on admission the reply comes when the job settles, on shed
+/// it comes right back with the retry hint.
+fn admit(job: Job, shared: &Arc<Shared>, stats: &mut ServeStats) {
+    let tenant = job.tenant.clone();
+    let admitted = shared
+        .queue
+        .lock()
+        .unwrap_or_else(|p| p.into_inner())
+        .queues
+        .admit(&tenant, job, Instant::now());
+    match admitted {
+        Admitted::Queued => shared.available.notify_one(),
+        Admitted::Shed { mut job, retry_after_ms, reason } => {
+            stats.rejected_overload += 1;
+            lisa_telemetry::counter_add("serve.shed", 1);
+            let reply = shed_response(&job.id, &tenant, retry_after_ms, reason.as_str());
+            send(&mut job.stream, &reply);
         }
-        "stats" => {
-            stream.send(&stats_response(shared, stats));
-        }
-        "verdict" => {
-            let id = request.str_of("job_id").unwrap_or("");
-            if id.len() > MAX_JOB_ID_LEN {
-                stream.send(&job_id_too_long(id.len()));
-                return;
-            }
-            stream.send(&verdict_response(&shared.state_root, id));
-        }
-        "follow" => match stream {
-            Responder::Unix(s) => {
-                // A follower that stops reading must not wedge its
-                // shipper (and with it, daemon shutdown) forever.
-                let _ = s.set_write_timeout(Some(Duration::from_secs(5)));
-                start_shipper(Box::new(s), shared, config);
-            }
-            mut tcp => {
-                // The gate listener never exposes the replication
-                // stream; that stays on --repl-listen.
-                tcp.send(&error_response(
-                    "",
-                    "bad-request",
-                    "`follow` is not served on the gate listener; use --repl-listen",
-                ));
-            }
-        },
-        "shutdown" => {
-            *draining = true;
-            stream.send("{\"status\":\"draining\"}");
-        }
-        "gate" => {
-            if *draining {
-                stream.send(&error_response("", "shutting-down", "daemon is draining"));
-                return;
-            }
-            let tenant = request.str_of("tenant").unwrap_or("default");
-            if !valid_tenant(tenant) {
-                stream.send(&error_response(
-                    "",
-                    "bad-request",
-                    "tenant must be 1..=32 chars of [A-Za-z0-9_-]",
-                ));
-                return;
-            }
-            let (Some(system), Some(rules)) =
-                (request.str_of("system"), request.str_of("rules"))
-            else {
-                stream.send(&error_response(
-                    "",
-                    "bad-request",
-                    "gate needs `system` and `rules`",
-                ));
-                return;
-            };
-            let fail_mode = match request.str_of("fail_mode").unwrap_or("closed").parse::<FailMode>() {
-                Ok(m) => m,
-                Err(e) => {
-                    stream.send(&error_response("", "bad-request", &e));
-                    return;
-                }
-            };
-            if let Some(id) = request.str_of("job_id") {
-                if id.len() > MAX_JOB_ID_LEN {
-                    stream.send(&job_id_too_long(id.len()));
-                    return;
-                }
-            }
-            *next_job += 1;
-            let id = request
-                .str_of("job_id")
-                .map(str::to_string)
-                .unwrap_or_else(|| format!("job-{next_job}"));
-            // From here the stream travels with the job; on admission
-            // the reply comes when the job settles, on shed it comes
-            // right back with the retry hint.
-            let job = Job {
-                id,
-                tenant: tenant.to_string(),
-                system: system.to_string(),
-                rules: rules.to_string(),
-                fail_mode,
-                chaos: request.str_of("chaos").map(str::to_string),
-                attempts: 0,
-                stream,
-            };
-            let admitted = shared
-                .queue
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .queues
-                .admit(tenant, job, Instant::now());
-            match admitted {
-                Admitted::Queued => shared.available.notify_one(),
-                Admitted::Shed { mut job, retry_after_ms, reason } => {
-                    stats.rejected_overload += 1;
-                    lisa_telemetry::counter_add("serve.shed", 1);
-                    job.stream.send(&shed_response(
-                        &job.id,
-                        tenant,
-                        retry_after_ms,
-                        reason.as_str(),
-                    ));
-                }
-                Admitted::Refused { mut job, error } => {
-                    job.stream.send(&error_response(&job.id, "bad-request", &error));
-                }
-            }
-        }
-        other => {
-            stream.send(&error_response("", "bad-request", &format!("unknown op {other:?}")));
+        Admitted::Refused { mut job, error } => {
+            send(&mut job.stream, &error_response(&job.id, "bad-request", &error));
         }
     }
 }
 
-/// Client side over TCP: send one NDJSON request to a `--listen` daemon
-/// and wait for the one-line reply. The wire protocol (and every reply
-/// byte) is identical to the unix-socket path.
-pub fn request_tcp(addr: &str, line: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
+/// Client side: send one NDJSON request to a daemon listener and wait for
+/// the one-line reply. Every listener speaks the same protocol, so the
+/// reply bytes do not depend on the transport.
+pub fn request(addr: &Addr, line: &str) -> std::io::Result<String> {
+    let mut stream = addr.connect()?;
     stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
+    stream.write_all(format!("{line}\n").as_bytes())?;
     let mut out = String::new();
-    reader.read_line(&mut out)?;
-    Ok(out.trim_end().to_string())
-}
-
-/// Client side: send one NDJSON request and wait for the one-line reply.
-pub fn request(socket: &Path, line: &str) -> std::io::Result<String> {
-    let mut stream = UnixStream::connect(socket)?;
-    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out)?;
+    BufReader::new(stream).read_line(&mut out)?;
     Ok(out.trim_end().to_string())
 }
 
@@ -2767,23 +2519,62 @@ mod tests {
     }
 
     #[test]
+    fn endpoint_table_serves_each_listeners_ops_and_keeps_refusal_bytes() {
+        let req = |line: &str| Json::parse(line).expect("request parses");
+        let ops = ["ping", "stats", "verdict", "follow", "shutdown", "gate"];
+        let served = |endpoint: Endpoint| -> Vec<&str> {
+            ops.iter().copied().filter(|op| endpoint.refusal(op, &req("{}")).is_none()).collect()
+        };
+        assert_eq!(served(Endpoint::Socket), ops);
+        assert_eq!(served(Endpoint::Listen), ["ping", "stats", "verdict", "shutdown", "gate"]);
+        assert_eq!(served(Endpoint::Repl), ["ping", "follow"]);
+        assert_eq!(served(Endpoint::Follower), ["ping", "stats", "verdict", "shutdown"]);
+
+        let refused = |endpoint: Endpoint, line: &str| {
+            let request = req(line);
+            endpoint.refusal(request.str_of("op").unwrap_or("gate"), &request)
+        };
+        assert_eq!(
+            refused(Endpoint::Listen, r#"{"op":"follow"}"#).as_deref(),
+            Some(r#"{"job_id":"","status":"bad-request","exit":2,"error":"`follow` is not served on the gate listener; use --repl-listen"}"#)
+        );
+        // A missing op on the replication listener is named as empty.
+        assert_eq!(
+            refused(Endpoint::Repl, r#"{"system":"s"}"#).as_deref(),
+            Some(r#"{"job_id":"","status":"bad-request","exit":2,"error":"unsupported op \"\" on the replication listener"}"#)
+        );
+        assert_eq!(
+            refused(Endpoint::Repl, r#"{"op":"stats"}"#).as_deref(),
+            Some(r#"{"job_id":"","status":"bad-request","exit":2,"error":"unsupported op \"stats\" on the replication listener"}"#)
+        );
+        assert_eq!(
+            refused(Endpoint::Follower, r#"{"job_id":"j1"}"#).as_deref(),
+            Some(r#"{"job_id":"j1","status":"read-only","exit":2,"error":"follower is read-only while its leader is alive; submit to the leader"}"#)
+        );
+        assert_eq!(
+            refused(Endpoint::Follower, r#"{"op":"follow"}"#).as_deref(),
+            Some(r#"{"job_id":"","status":"bad-request","exit":2,"error":"unknown op \"follow\""}"#)
+        );
+    }
+
+    #[test]
     fn parse_repl_addr_schemes_win_over_shape() {
         // Explicit schemes are taken at face value, even when the
         // remainder looks like the other transport (or is empty).
         assert_eq!(
             parse_repl_addr("unix:/tmp/lisa.sock"),
-            ReplAddr::Unix(PathBuf::from("/tmp/lisa.sock"))
+            Addr::Unix(PathBuf::from("/tmp/lisa.sock"))
         );
-        assert_eq!(parse_repl_addr("unix:"), ReplAddr::Unix(PathBuf::new()));
+        assert_eq!(parse_repl_addr("unix:"), Addr::Unix(PathBuf::new()));
         assert_eq!(
             parse_repl_addr("unix:localhost:7001"),
-            ReplAddr::Unix(PathBuf::from("localhost:7001"))
+            Addr::Unix(PathBuf::from("localhost:7001"))
         );
         assert_eq!(
             parse_repl_addr("tcp:127.0.0.1:7001"),
-            ReplAddr::Tcp("127.0.0.1:7001".to_string())
+            Addr::Tcp("127.0.0.1:7001".to_string())
         );
-        assert_eq!(parse_repl_addr("tcp:"), ReplAddr::Tcp(String::new()));
+        assert_eq!(parse_repl_addr("tcp:"), Addr::Tcp(String::new()));
     }
 
     #[test]
@@ -2792,11 +2583,11 @@ mod tests {
         // (legal on unix) do not flip it back to host:port.
         assert_eq!(
             parse_repl_addr("/var/run/lisa:1.sock"),
-            ReplAddr::Unix(PathBuf::from("/var/run/lisa:1.sock"))
+            Addr::Unix(PathBuf::from("/var/run/lisa:1.sock"))
         );
-        assert_eq!(parse_repl_addr("./lisa.sock"), ReplAddr::Unix(PathBuf::from("./lisa.sock")));
+        assert_eq!(parse_repl_addr("./lisa.sock"), Addr::Unix(PathBuf::from("./lisa.sock")));
         // No '/': host:port territory.
-        assert_eq!(parse_repl_addr("localhost:7001"), ReplAddr::Tcp("localhost:7001".to_string()));
+        assert_eq!(parse_repl_addr("localhost:7001"), Addr::Tcp("localhost:7001".to_string()));
     }
 
     #[test]
@@ -2805,8 +2596,8 @@ mod tests {
         // port, a slashless socket filename — all parse as TCP and fail
         // loudly at connect() rather than being guessed at. Callers who
         // mean a relative socket path write `unix:` explicitly.
-        assert_eq!(parse_repl_addr(""), ReplAddr::Tcp(String::new()));
-        assert_eq!(parse_repl_addr("localhost"), ReplAddr::Tcp("localhost".to_string()));
-        assert_eq!(parse_repl_addr("lisa.sock"), ReplAddr::Tcp("lisa.sock".to_string()));
+        assert_eq!(parse_repl_addr(""), Addr::Tcp(String::new()));
+        assert_eq!(parse_repl_addr("localhost"), Addr::Tcp("localhost".to_string()));
+        assert_eq!(parse_repl_addr("lisa.sock"), Addr::Tcp("lisa.sock".to_string()));
     }
 }

@@ -8,6 +8,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace -- -D warnings
 
+# `unsafe` is denied crate-wide and allowed back in exactly one file: the
+# audited poll(2)/rlimit wrappers in netloop, which every daemon listener
+# (unix and TCP) goes through.
+UNSAFE_FILES="$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates/ || true)"
+[ "$UNSAFE_FILES" = "crates/core/src/netloop.rs" ] \
+    || { echo "allow(unsafe_code) must appear only in netloop.rs, found: ${UNSAFE_FILES:-none}"; exit 1; }
+echo "unsafe scope check: ok"
+
 # No call sites may depend on deprecated APIs: the old free-function
 # entry points are gone, and nothing new may rot behind a deprecation
 # warning either.

@@ -5,8 +5,9 @@
 //! version-scoped cache on and off. A seeded stream-fault sweep proves
 //! the follower quarantines corrupt frames (re-requesting a full sync)
 //! instead of applying them, and a process-level test runs the real
-//! `lisa serve --follow` pair over TCP, SIGKILLs the leader, and
-//! watches the follower take over.
+//! `lisa serve --follow` pair — over `--repl-listen` TCP and over the
+//! leader's unix socket — SIGKILLs the leader, and watches the follower
+//! take over.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -456,7 +457,16 @@ fn poll_until(
 
 #[test]
 fn sigkilled_leader_is_replaced_by_its_promoted_follower() {
-    let fx = CliFixture::new("promo");
+    for scheme in ["tcp", "unix"] {
+        promote_after_sigkill(scheme);
+    }
+}
+
+/// Run a leader/follower pair whose follower attaches over `scheme`
+/// (`tcp`: the leader's `--repl-listen` port; `unix`: its socket), then
+/// SIGKILL the leader and watch the follower take over.
+fn promote_after_sigkill(scheme: &str) {
+    let fx = CliFixture::new(&format!("promo-{scheme}"));
     let port = free_port();
     let repl = format!("127.0.0.1:{port}");
     let mut leader = Daemon::start(
@@ -465,7 +475,10 @@ fn sigkilled_leader_is_replaced_by_its_promoted_follower() {
         "lstate",
         &["--repl-listen", &repl, "--heartbeat-ms", "100"],
     );
-    let follow = format!("tcp:{repl}");
+    let follow = match scheme {
+        "tcp" => format!("tcp:{repl}"),
+        _ => format!("unix:{}", leader.socket),
+    };
     let follower = Daemon::start(
         &fx,
         "follower.sock",
@@ -516,6 +529,15 @@ fn sigkilled_leader_is_replaced_by_its_promoted_follower() {
         "--job-id", "rogue",
     ]);
     assert!(out.contains("read-only"), "follower must refuse writes: {out}");
+
+    // Reads hold the leader's job-id bound: an over-long id is a
+    // structured bad-request, never echoed back.
+    let long_id = "x".repeat(lisa::MAX_JOB_ID_LEN + 1);
+    let (code, out) =
+        fx.run(&["submit", "--socket", &follower.socket, "--op", "verdict", "--job-id", &long_id]);
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("\"status\":\"bad-request\""), "{out}");
+    assert!(out.contains("128-byte bound") && !out.contains(&long_id), "{out}");
 
     // Quiesce, then compare the mirrored journal byte-for-byte.
     poll_until(&fx, &follower.socket, &["--op", "stats"], "zero lag", |o| {

@@ -2,15 +2,16 @@
 //! verdict replies are byte-identical across the unix and TCP
 //! transports, weighted-fair dequeue keeps a noisy tenant from starving
 //! a quiet one, saturation is answered with structured sheds (never
-//! silence), oversized job ids get a structured bad-request, and the
-//! `stats` op exposes per-tenant depth and tail latency.
+//! silence), oversized job ids get a structured bad-request, the
+//! `stats` op exposes per-tenant depth and tail latency, and no silent,
+//! trickling or over-long client on one listener can stall another.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -89,27 +90,37 @@ impl Drop for Fixture {
     }
 }
 
-fn free_port() -> u16 {
-    std::net::TcpListener::bind("127.0.0.1:0")
-        .expect("probe port")
-        .local_addr()
-        .expect("probe addr")
-        .port()
+/// Two distinct localhost addresses that were free a moment ago.
+fn free_addrs() -> (String, String) {
+    let probe = || TcpListener::bind("127.0.0.1:0").expect("probe port");
+    let (a, b) = (probe(), probe());
+    let addr = |l: &TcpListener| l.local_addr().expect("probe addr").to_string();
+    (addr(&a), addr(&b))
+}
+
+/// The daemon listener a client connects to.
+#[derive(Clone, Copy, Debug)]
+enum Via {
+    Unix,
+    Tcp,
+    Repl,
 }
 
 struct Daemon {
     child: Child,
     socket: String,
     addr: String,
+    repl: String,
 }
 
 impl Daemon {
     fn start(fx: &Fixture, tag: &str, extra: &[&str]) -> Daemon {
         let socket = fx.path(&format!("{tag}.sock"));
-        let addr = format!("127.0.0.1:{}", free_port());
+        let (addr, repl) = free_addrs();
         let state = fx.path(&format!("state-{tag}"));
         let mut args = vec![
             "serve", "--socket", &socket, "--state-root", &state, "--listen", &addr,
+            "--repl-listen", &repl,
         ];
         args.extend_from_slice(extra);
         let child = Command::new(env!("CARGO_BIN_EXE_lisa"))
@@ -118,7 +129,7 @@ impl Daemon {
             .stderr(Stdio::null())
             .spawn()
             .expect("spawn lisa serve");
-        let daemon = Daemon { child, socket, addr };
+        let daemon = Daemon { child, socket, addr, repl };
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             if let Some(reply) = daemon.try_tcp("{\"v\":1,\"op\":\"ping\"}") {
@@ -143,6 +154,27 @@ impl Daemon {
     fn unix(&self, line: &str) -> String {
         let stream = UnixStream::connect(&self.socket).expect("unix connect");
         exchange(&stream, &stream, line).expect("unix reply")
+    }
+
+    /// One request/reply on the listener `via` names.
+    fn on(&self, via: Via, line: &str) -> Option<String> {
+        match via {
+            Via::Unix => Some(self.unix(line)),
+            Via::Tcp => self.try_tcp(line),
+            Via::Repl => {
+                let stream = TcpStream::connect(&self.repl).ok()?;
+                exchange(&stream, &stream, line)
+            }
+        }
+    }
+
+    /// A raw client connection on the listener `via` names.
+    fn open(&self, via: Via) -> Box<dyn Write + Send> {
+        match via {
+            Via::Unix => Box::new(UnixStream::connect(&self.socket).expect("unix connect")),
+            Via::Tcp => Box::new(TcpStream::connect(&self.addr).expect("tcp connect")),
+            Via::Repl => Box::new(TcpStream::connect(&self.repl).expect("repl connect")),
+        }
     }
 }
 
@@ -393,4 +425,88 @@ fn stats_reports_per_tenant_depth_and_tail_latency() {
         assert!(t.u64_of("retry_budget").is_some(), "retry budget missing: {stats}");
     }
     assert!(stats.contains("\"listen_conns\""), "{stats}");
+}
+
+// ---------------------------------------------------------------------------
+// Slow clients: every listener is polled, none can stall another
+// ---------------------------------------------------------------------------
+
+/// A client that connects but never finishes its request line.
+#[derive(Clone, Copy, Debug)]
+enum Slow {
+    /// Sends nothing.
+    Silent,
+    /// Sends one byte every 100 ms (for at most 3 s), never a newline.
+    Trickling,
+}
+
+/// With a silent and then a trickling client parked on `slow_on`, a
+/// request on `probe_on` must still be answered within 500 ms.
+fn assert_prompt_beside_slow_clients(slow_on: Via, probe_on: Via, line: &str) {
+    let fx = Fixture::new(&format!("slow-{slow_on:?}-{probe_on:?}"));
+    let daemon = Daemon::start(&fx, "slow", &["--workers", "1"]);
+    for slow in [Slow::Silent, Slow::Trickling] {
+        let mut client = daemon.open(slow_on);
+        let stop = Arc::new(AtomicBool::new(false));
+        let slow_client = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let until = Instant::now() + Duration::from_secs(3);
+                while matches!(slow, Slow::Trickling)
+                    && !stop.load(Ordering::SeqCst)
+                    && Instant::now() < until
+                {
+                    let _ = client.write_all(b"{");
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+                client
+            })
+        };
+        // Give the daemon time to accept the slow client first.
+        std::thread::sleep(Duration::from_millis(200));
+        let started = Instant::now();
+        let reply = daemon.on(probe_on, line).expect("probe reply");
+        let took = started.elapsed();
+        stop.store(true, Ordering::SeqCst);
+        drop(slow_client.join().expect("slow client"));
+        assert!(reply.contains("\"status\":\"ok\""), "{line} via {probe_on:?}: {reply}");
+        assert!(
+            took < Duration::from_millis(500),
+            "{line} via {probe_on:?} took {took:?} beside a {slow:?} client on {slow_on:?}"
+        );
+    }
+}
+
+#[test]
+fn tcp_stats_is_not_stalled_by_a_slow_unix_client() {
+    assert_prompt_beside_slow_clients(Via::Unix, Via::Tcp, "{\"v\":1,\"op\":\"stats\"}");
+}
+
+#[test]
+fn unix_ping_is_not_stalled_by_a_slow_unix_client() {
+    assert_prompt_beside_slow_clients(Via::Unix, Via::Unix, "{\"v\":1,\"op\":\"ping\"}");
+}
+
+#[test]
+fn repl_listener_neither_stalls_nor_is_stalled_by_slow_clients() {
+    assert_prompt_beside_slow_clients(Via::Repl, Via::Tcp, "{\"v\":1,\"op\":\"stats\"}");
+    assert_prompt_beside_slow_clients(Via::Unix, Via::Repl, "{\"v\":1,\"op\":\"ping\"}");
+}
+
+#[test]
+fn overlong_unix_request_line_gets_structured_bad_request() {
+    let fx = Fixture::new("overlong");
+    let daemon = Daemon::start(&fx, "overlong", &["--workers", "1"]);
+    let line = "x".repeat(lisa::netloop::MAX_REQUEST_LINE + 16 * 1024);
+    let mut stream = UnixStream::connect(&daemon.socket).expect("unix connect");
+    // The daemon may hang up before the whole line is written — once the
+    // bound is crossed it stops reading — but its reply is already queued.
+    let _ = stream.write_all(line.as_bytes());
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).expect("reply");
+    let json = Json::parse(reply.trim()).expect("reply parses");
+    assert_eq!(json.str_of("status"), Some("bad-request"), "{reply}");
+    assert_eq!(json.str_of("error"), Some("request line exceeds the 64KiB bound"), "{reply}");
+    // The daemon is unharmed.
+    assert!(daemon.unix("{\"v\":1,\"op\":\"ping\"}").contains("\"ok\""));
 }
