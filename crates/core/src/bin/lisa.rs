@@ -6,7 +6,7 @@
 //!              [--test-prefix test_] [--rag <k>]
 //!              [--fail-mode closed|open] [--deadline-ms N] [--max-solver-conflicts N]
 //!              [--fault-seed N] [--fault-rate F] [--state <dir>]
-//!              [--cache on|off] [--cache-queries N]
+//!              [--cache on|off]
 //!              [--trace-out <file>] [--metrics-out <file>]
 //! lisa resume  --system <dir> --rules <file> --state <dir> [--fail-mode closed|open]
 //! lisa serve   --socket <path> [--state-root <dir>] [--workers N] [--queue-cap N]
@@ -59,8 +59,7 @@
 //! `--cache on|off` (default on) controls the version-scoped analysis,
 //! trace, and SMT-query caches; caches are transparent — every stdout
 //! byte, JSON artifact, and journal entry is identical with caching off.
-//! `--cache-queries N` bounds the SMT query cache (LRU, default 4096
-//! entries; 0 disables just the query tier).
+//! The SMT query cache is an LRU of 4096 entries.
 //!
 //! Exit status: 0 = pass, 1 = violations found (gate blocks), 2 = a true
 //! engine error — usage/load failure, or (under fail-closed) a rule check
@@ -115,7 +114,7 @@ const USAGE: &str = "usage:
                [--test-prefix test_] [--rag <k>]
                [--fail-mode closed|open] [--deadline-ms N] [--max-solver-conflicts N]
                [--fault-seed N] [--fault-rate F] [--state <dir>]
-               [--cache on|off] [--cache-queries N]
+               [--cache on|off]
                [--trace-out <file>] [--metrics-out <file>]
   lisa resume  --system <dir> --rules <file> --state <dir> [--fail-mode closed|open]
   lisa serve   --socket <path> [--state-root <dir>] [--workers N|auto] [--queue-cap N]

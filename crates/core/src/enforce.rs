@@ -28,7 +28,7 @@ use lisa_util::{retry_with_backoff, RetryPolicy};
 
 use crate::error::LisaError;
 use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
-use crate::pipeline::{Pipeline, PipelineConfig, ResourceBudgets};
+use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::sched::{run_rules, DegradeSignal};
 use crate::verdict::RuleReport;
 
@@ -128,8 +128,6 @@ pub struct GateOptions {
     /// run in degraded mode (fixed-path sanity check) instead of full
     /// exploration. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Per-rule resource budgets layered over the pipeline config's.
-    pub budgets: ResourceBudgets,
     /// Retry policy for transient failures.
     pub retry: RetryPolicy,
     /// Fault injection, for resilience tests and the E10 experiment.
@@ -193,18 +191,6 @@ pub(crate) fn enforce_impl(
     let total_retries = AtomicU64::new(0);
     let degrade = DegradeSignal::new(started, options.deadline);
 
-    // Layer the gate budgets over the pipeline config (gate wins where set).
-    let mut gate_config = config.clone();
-    if options.budgets.max_solver_conflicts.is_some() {
-        gate_config.budgets.max_solver_conflicts = options.budgets.max_solver_conflicts;
-    }
-    if options.budgets.max_steps_per_test.is_some() {
-        gate_config.budgets.max_steps_per_test = options.budgets.max_steps_per_test;
-    }
-    if options.budgets.rule_wall.is_some() {
-        gate_config.budgets.rule_wall = options.budgets.rule_wall;
-    }
-
     // One slot per rule: rules finish in any order, reports fold in
     // registry order.
     let rules = registry.rules();
@@ -212,8 +198,8 @@ pub(crate) fn enforce_impl(
     run_rules(workers, rules.len(), |i| {
         let rule = &rules[i];
         let pipeline = match cache {
-            Some(c) => Pipeline::with_cache(gate_config.clone(), Arc::clone(c)),
-            None => Pipeline::new(gate_config.clone()),
+            Some(c) => Pipeline::with_cache(config.clone(), Arc::clone(c)),
+            None => Pipeline::new(config.clone()),
         };
         let past_deadline = degrade.expired();
         if past_deadline && degrade.first_notice() {

@@ -68,15 +68,10 @@ impl Default for GateCache {
 
 impl GateCache {
     pub fn new() -> GateCache {
-        GateCache::with_query_capacity(DEFAULT_QUERY_CACHE_CAPACITY)
-    }
-
-    /// A cache whose SMT query LRU holds at most `capacity` verdicts.
-    pub fn with_query_capacity(capacity: usize) -> GateCache {
         GateCache {
             analysis: AnalysisCache::new(),
             traces: TraceCache::new(),
-            queries: QueryCache::new(capacity),
+            queries: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
             published: Mutex::new(BTreeMap::new()),
         }
     }
@@ -216,8 +211,6 @@ pub struct GateConfig {
     pub fault_rate: f64,
     /// Whether the run gets a [`GateCache`].
     pub cache: bool,
-    /// SMT query LRU capacity when the cache is on.
-    pub cache_queries: usize,
 }
 
 impl Default for GateConfig {
@@ -231,7 +224,6 @@ impl Default for GateConfig {
             fault_seed: None,
             fault_rate: 1.0,
             cache: true,
-            cache_queries: DEFAULT_QUERY_CACHE_CAPACITY,
         }
     }
 }
@@ -249,7 +241,6 @@ impl GateConfig {
     /// - `--max-solver-conflicts <n>` — SAT conflict budget per query
     /// - `--fault-seed <n>` / `--fault-rate <f>` — chaos drill
     /// - `--cache on|off` — version-scoped caching (default on)
-    /// - `--cache-queries <n>` — SMT query LRU capacity
     pub fn from_args(flags: &HashMap<String, String>) -> Result<GateConfig, String> {
         fn num<T: std::str::FromStr>(
             flags: &HashMap<String, String>,
@@ -300,7 +291,6 @@ impl GateConfig {
             fault_seed: num(flags, "fault-seed")?,
             fault_rate: num::<f64>(flags, "fault-rate")?.unwrap_or(defaults.fault_rate),
             cache,
-            cache_queries: num(flags, "cache-queries")?.unwrap_or(defaults.cache_queries),
         })
     }
 
@@ -310,7 +300,6 @@ impl GateConfig {
         GateOptions {
             fail_mode: self.fail_mode,
             deadline: self.deadline,
-            budgets: self.pipeline.budgets,
             faults: self
                 .fault_seed
                 .map(|seed| FaultInjector::new(FaultPlan::random(seed, self.fault_rate, rule_ids))),
@@ -320,7 +309,7 @@ impl GateConfig {
 
     /// The cache this configuration implies (`None` when `--cache off`).
     pub fn gate_cache(&self) -> Option<Arc<GateCache>> {
-        self.cache.then(|| Arc::new(GateCache::with_query_capacity(self.cache_queries)))
+        self.cache.then(|| Arc::new(GateCache::new()))
     }
 }
 
@@ -340,7 +329,6 @@ mod tests {
         assert_eq!(cfg.fail_mode, FailMode::Closed);
         assert!(cfg.deadline.is_none());
         assert!(cfg.cache);
-        assert_eq!(cfg.cache_queries, DEFAULT_QUERY_CACHE_CAPACITY);
         assert!(cfg.gate_cache().is_some());
     }
 
@@ -356,7 +344,6 @@ mod tests {
             ("fault-seed", "7"),
             ("fault-rate", "0.5"),
             ("cache", "off"),
-            ("cache-queries", "16"),
         ]))
         .expect("parse");
         assert!(matches!(cfg.pipeline.selection, TestSelection::Rag { k: 3 }));
@@ -370,7 +357,6 @@ mod tests {
         let opts = cfg.gate_options(&["R1".to_string()]);
         assert_eq!(opts.fail_mode, FailMode::Open);
         assert!(opts.faults.is_some());
-        assert_eq!(opts.budgets.max_solver_conflicts, Some(64));
     }
 
     #[test]

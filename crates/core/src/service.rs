@@ -50,14 +50,14 @@ use lisa_analysis::CallGraph;
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::{author_rule, SemanticRule};
-use lisa_store::journal::{fnv1a, frame, Journal, FRAME_HEADER};
+use lisa_store::journal::{fnv1a, frame, FRAME_HEADER};
 use lisa_store::repl::{
     decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, StreamFault, StreamFaults,
     Wire, REPL_VERSION,
 };
 use lisa_store::{
-    read_atomic, scan, FingerprintFile, GateEvent, IoFaults, RuleOutcome, RunState, RunStore,
-    StoreError,
+    read_atomic, scan, write_file_atomic, FingerprintFile, GateEvent, IoFaults, RuleOutcome,
+    RunState, RunStore, StoreError,
 };
 use lisa_util::RetryPolicy;
 
@@ -211,7 +211,7 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
 /// - the rule itself (id, description, target, condition text),
 /// - struct layouts and globals (interpreter semantics),
 /// - every test's name, summary, and entry (selection inputs),
-/// - the effective pipeline configuration and gate budgets,
+/// - the effective pipeline configuration and gate retry policy,
 /// - the fingerprint of every *relevant* function, in program order:
 ///   functions that can reach the target (they shape chains and
 ///   aliases) plus everything executed by tests that can reach it
@@ -246,7 +246,6 @@ impl DepHasher {
         // Debug formatting is stable for a given binary; a format change
         // across releases costs one re-check, never a wrong reuse.
         base.part(format!("{config:?}").as_bytes());
-        base.part(format!("{:?}", gate.budgets).as_bytes());
         base.part(format!("{:?}", gate.retry).as_bytes());
 
         DepHasher {
@@ -464,7 +463,6 @@ pub fn gate_durable(
     let reuse_fingerprints = durable.cache.is_some()
         && gate.faults.is_none()
         && gate.deadline.is_none()
-        && gate.budgets.rule_wall.is_none()
         && config.budgets.rule_wall.is_none();
     let prior = if reuse_fingerprints {
         FingerprintFile::load(&durable.state_dir)
@@ -1491,7 +1489,7 @@ fn run_follower(
     gates: &mut [(NetGate, Endpoint)],
     config: &ServeConfig,
     addr: Addr,
-    metrics_journal: &mut Option<Journal>,
+    metrics_snapshot: &mut Option<PathBuf>,
     stats: &mut ServeStats,
 ) -> FollowerExit {
     let state = Arc::new(FollowState::new());
@@ -1529,10 +1527,10 @@ fn run_follower(
         if last_snapshot.elapsed() >= METRICS_SNAPSHOT_INTERVAL {
             // Record replication gauges alongside the regular snapshot
             // so lag and heartbeat age are visible post-mortem in the
-            // metrics journal, not just in live `stats` replies.
+            // metrics snapshot, not just in live `stats` replies.
             lisa_telemetry::histogram_record("repl.heartbeat_age_ms", state.heartbeat_age_ms());
             lisa_telemetry::histogram_record("repl.lag_frames", state.lag_frames());
-            snapshot_metrics(metrics_journal);
+            snapshot_metrics(metrics_snapshot);
             last_snapshot = Instant::now();
         }
     };
@@ -1601,28 +1599,20 @@ fn verdict_response(state_root: &Path, job_id: &str) -> String {
     )
 }
 
-/// How often the daemon journals a metrics snapshot while running.
+/// How often the daemon writes a metrics snapshot while running.
 const METRICS_SNAPSHOT_INTERVAL: Duration = Duration::from_secs(2);
 
-/// Open the daemon's persisted-metrics journal under the state root and
-/// restore the last snapshot into the live telemetry registry, so
-/// cumulative `stats` counters and timings survive a restart. The journal
-/// holds one snapshot record, rewritten in place (reset + append); a
-/// crash between the two loses at most one snapshot interval.
-fn open_metrics_journal(state_root: &Path) -> Option<Journal> {
+/// Restore the daemon's persisted metrics snapshot under the state root
+/// into the live telemetry registry, so cumulative `stats` counters and
+/// timings survive a restart, and return the snapshot's path. The file
+/// holds one checksummed frame, replaced atomically by every snapshot, so
+/// a crash leaves either the previous snapshot or the new one.
+fn open_metrics_snapshot(state_root: &Path) -> PathBuf {
     let path = state_root.join("metrics.journal");
-    match Journal::open(&path, None) {
-        Ok((journal, report)) => {
-            if let Some(last) = report.records.last() {
-                restore_metrics(last);
-            }
-            Some(journal)
-        }
-        Err(e) => {
-            lisa_telemetry::note("serve", || format!("metrics journal unavailable: {e}"));
-            None
-        }
+    if let Some(last) = read_atomic(&path) {
+        restore_metrics(&last);
     }
+    path
 }
 
 /// Replay one persisted metrics snapshot (the `metrics_json` format) into
@@ -1652,15 +1642,17 @@ fn restore_metrics(bytes: &[u8]) {
     }
 }
 
-/// Journal the current metrics snapshot, replacing the previous one. On
-/// any I/O failure the journal is dropped for the rest of the run —
-/// best-effort persistence must not wedge the supervisor.
-fn snapshot_metrics(journal: &mut Option<Journal>) {
-    let Some(j) = journal else { return };
+/// Replace the persisted metrics snapshot with the current one. The
+/// write bypasses the store's counted paths (`Journal::append`,
+/// `write_atomic`), so it never shows up in the per-job `store.*`
+/// counters. On any I/O failure persistence is dropped for the rest of
+/// the run — best-effort persistence must not wedge the supervisor.
+fn snapshot_metrics(path: &mut Option<PathBuf>) {
+    let Some(p) = path else { return };
     let payload = lisa_telemetry::metrics_json();
-    if j.reset().is_err() || j.append(payload.as_bytes()).is_err() {
+    if write_file_atomic(p, &frame(payload.as_bytes())).is_err() {
         lisa_telemetry::note("serve", || "metrics snapshot failed; persistence disabled".into());
-        *journal = None;
+        *path = None;
     }
 }
 
@@ -1691,7 +1683,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     if lisa_telemetry::config() == lisa_telemetry::TelemetryConfig::Off {
         lisa_telemetry::init(lisa_telemetry::TelemetryConfig::MetricsOnly);
     }
-    let mut metrics_journal = open_metrics_journal(&config.state_root);
+    let mut metrics_snapshot = Some(open_metrics_snapshot(&config.state_root));
     let mut last_snapshot = Instant::now();
     let mut stats = ServeStats::default();
 
@@ -1701,9 +1693,9 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
     // know keeps working across the role change.
     if let Some(spec) = &config.follow {
         let addr = parse_repl_addr(spec);
-        match run_follower(&mut gates, config, addr, &mut metrics_journal, &mut stats) {
+        match run_follower(&mut gates, config, addr, &mut metrics_snapshot, &mut stats) {
             FollowerExit::Drained => {
-                snapshot_metrics(&mut metrics_journal);
+                snapshot_metrics(&mut metrics_snapshot);
                 let _ = std::fs::remove_file(&config.socket);
                 return Ok(stats);
             }
@@ -1897,10 +1889,10 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
             }
         }
 
-        // 4. Periodically journal a metrics snapshot so cumulative stats
+        // 4. Periodically write a metrics snapshot so cumulative stats
         // survive a daemon restart.
         if last_snapshot.elapsed() >= METRICS_SNAPSHOT_INTERVAL {
-            snapshot_metrics(&mut metrics_journal);
+            snapshot_metrics(&mut metrics_snapshot);
             last_snapshot = Instant::now();
         }
 
@@ -1934,7 +1926,7 @@ pub fn serve(config: &ServeConfig) -> Result<ServeStats, String> {
         let _ = shipper.join();
     }
     stats.jobs_done = shared.jobs_done.load(Ordering::Relaxed);
-    snapshot_metrics(&mut metrics_journal);
+    snapshot_metrics(&mut metrics_snapshot);
     let _ = std::fs::remove_file(&config.socket);
     Ok(stats)
 }
@@ -2049,7 +2041,7 @@ fn tenants_json(shared: &Arc<Shared>) -> String {
 /// Build the one-line `stats` reply: role, queue depth, per-worker
 /// states, per-tenant summaries, replication position and attached
 /// followers, cumulative telemetry counters (restored across restarts
-/// via the metrics journal), and per-stage timing summaries.
+/// via the metrics snapshot), and per-stage timing summaries.
 fn stats_response(shared: &Arc<Shared>, stats: &ServeStats) -> String {
     let queued = shared.queue.lock().unwrap_or_else(|p| p.into_inner()).queues.queued_total();
     let resolved_workers;

@@ -71,7 +71,7 @@ impl Cnf {
             Term::True => Ok(()),
             Term::False => Err(false),
             _ => {
-                let lit = self.encode(term);
+                let lit = self.encode_term(term);
                 self.add_clause(vec![lit]);
                 Ok(())
             }
@@ -85,31 +85,21 @@ impl Cnf {
     /// incremental session encode many terms into one clause database
     /// and activate each via its root literal as an assumption.
     pub fn encode_term(&mut self, term: &Term) -> PLit {
-        self.encode(term)
-    }
-
-    /// Tseitin-encode a (sub)term, returning the literal representing it.
-    fn encode(&mut self, term: &Term) -> PLit {
         match term {
             Term::True | Term::False => {
                 // Represent constants with a dedicated always-true aux var.
                 let v = self.fresh_aux() as PLit;
-                if matches!(term, Term::True) {
-                    self.add_clause(vec![v]);
-                    v
-                } else {
-                    self.add_clause(vec![v]);
-                    -v
-                }
+                self.add_clause(vec![v]);
+                if matches!(term, Term::True) { v } else { -v }
             }
             Term::Atom(a) => self.var_for_atom(a) as PLit,
             Term::Not(inner) => match inner.as_ref() {
                 Term::Atom(a) => -(self.var_for_atom(a) as PLit),
                 // NNF guarantees negation only on atoms, but stay total.
-                other => -self.encode(other),
+                other => -self.encode_term(other),
             },
             Term::And(ts) => {
-                let lits: Vec<PLit> = ts.iter().map(|t| self.encode(t)).collect();
+                let lits: Vec<PLit> = ts.iter().map(|t| self.encode_term(t)).collect();
                 let g = self.fresh_aux() as PLit;
                 // g -> each lit
                 for &l in &lits {
@@ -122,7 +112,7 @@ impl Cnf {
                 g
             }
             Term::Or(ts) => {
-                let lits: Vec<PLit> = ts.iter().map(|t| self.encode(t)).collect();
+                let lits: Vec<PLit> = ts.iter().map(|t| self.encode_term(t)).collect();
                 let g = self.fresh_aux() as PLit;
                 // g -> (l1 | l2 | ...)
                 let mut fwd: Clause = lits.clone();

@@ -37,21 +37,26 @@
 //!   budget-free searches. Session-level budget accounting still spans
 //!   the whole session (see [`SessionStats`]).
 //!
-//! Theory lemmas are safe to retain because a blocking clause from
+//! Both paths run the one refinement loop, `solver::refine`. Theory
+//! lemmas are safe to retain because a blocking clause from
 //! [`crate::theory::check`] states a fact about the theory atoms
-//! themselves, independent of which query cited them; CDCL learned
-//! clauses are safe because assumptions enter the search as decisions
-//! and are never resolved away, so every resolvent is implied by the
-//! clause database alone (see `solve_under_assumptions`).
+//! themselves, independent of which query cited them; atoms left from
+//! earlier queries only steer the search, since any theory model of the
+//! live atoms gives them *some* truth value. CDCL learned clauses are
+//! safe because assumptions enter the search as decisions and are never
+//! resolved away, so every resolvent is implied by the clause database
+//! alone (see `solve_under_assumptions`).
 
 use std::sync::Mutex;
 
 use crate::cnf::Cnf;
 use crate::nnf::preprocess;
-use crate::sat::{SatOutcome, SatSolver};
-use crate::solver::{violates_budgeted, ViolationOutcome};
+use crate::sat::SatSolver;
+use crate::solver::{
+    open_query, publish_query, refine, violates_budgeted, Refined, SatResult, SolverStats,
+    ViolationOutcome,
+};
 use crate::term::Term;
-use crate::theory::{self, TheoryLit, TheoryResult};
 
 /// Reuse counters for one session, surfaced as `smt.session.*`
 /// telemetry and asserted by the session-reuse bench gate.
@@ -113,27 +118,14 @@ impl SolverSession {
         let mut cnf = Cnf::new();
         let neg = preprocess(&checker.clone().not());
         let checker_valid = cnf.assert_term(&neg).is_err();
-        let mut sat = SatSolver::new(cnf.num_vars());
-        let mut synced = 0;
-        while synced < cnf.clauses.len() {
-            if !sat.add_clause(cnf.clauses[synced].clone()) {
-                // ¬checker is propositionally unsat on its own: the
-                // sticky solver-level unsat makes every query Verified,
-                // exactly as the fresh path would conclude.
-                break;
-            }
-            synced += 1;
-        }
-        SolverSession {
-            checker: checker.clone(),
-            inner: Mutex::new(Inner {
-                cnf,
-                sat,
-                synced,
-                checker_valid,
-                stats: SessionStats::default(),
-            }),
-        }
+        let sat = SatSolver::new(cnf.num_vars());
+        let mut inner =
+            Inner { cnf, sat, synced: 0, checker_valid, stats: SessionStats::default() };
+        // If ¬checker is propositionally unsat on its own, the sticky
+        // solver-level unsat makes every query Verified, exactly as the
+        // fresh path would conclude.
+        inner.sync();
+        SolverSession { checker: checker.clone(), inner: Mutex::new(inner) }
     }
 
     /// The session's violation query: is `π ∧ ¬checker` satisfiable?
@@ -145,38 +137,32 @@ impl SolverSession {
         pi: &Term,
         max_conflicts: Option<u64>,
     ) -> ViolationOutcome {
-        if let Some(budget) = max_conflicts {
-            // Budget isolation: solve on a throwaway fresh solver so an
-            // exhausted (`Unknown`) query neither inherits conflicts
-            // already spent in the session nor leaves partial search
-            // state behind for later queries.
-            {
-                let mut inner = self.lock();
-                inner.stats.queries += 1;
-                inner.stats.budget_isolated += 1;
-            }
-            return violates_budgeted(pi, &self.checker, Some(budget));
-        }
-        let decided = {
+        let verified = {
             let mut inner = self.lock();
             inner.stats.queries += 1;
-            inner.stats.learned_reused += inner.sat.stats.learned_clauses;
-            let decided = incremental_verified(&mut inner, pi);
-            if decided {
-                inner.stats.incremental += 1;
+            if max_conflicts.is_some() {
+                // Budget isolation: solve on a throwaway fresh solver so
+                // an exhausted (`Unknown`) query neither inherits
+                // conflicts already spent in the session nor leaves
+                // partial search state behind for later queries.
+                inner.stats.budget_isolated += 1;
+                false
             } else {
-                inner.stats.fallback_fresh += 1;
+                inner.stats.learned_reused += inner.sat.stats.learned_clauses;
+                let verified = inner.refute(pi);
+                inner.stats.incremental += u64::from(verified);
+                inner.stats.fallback_fresh += u64::from(!verified);
+                inner.stats.learned_retained = inner.sat.stats.learned_clauses;
+                verified
             }
-            inner.stats.learned_retained = inner.sat.stats.learned_clauses;
-            decided
         };
-        if decided {
+        if verified {
             ViolationOutcome::Verified
         } else {
-            // Satisfiable (or, theoretically, non-convergent): re-derive
-            // on the stateless path so the witness model is the
-            // canonical fresh-solver one.
-            violates_budgeted(pi, &self.checker, None)
+            // Satisfiable (or, theoretically, non-convergent) or
+            // budgeted: answer on the stateless path, so the witness
+            // model is the canonical fresh-solver one.
+            violates_budgeted(pi, &self.checker, max_conflicts)
         }
     }
 
@@ -224,128 +210,62 @@ impl SolverSession {
     }
 }
 
-/// Upper bound on lazy theory-refinement rounds per query, mirroring
-/// [`crate::Solver`]'s safety valve.
-const MAX_ROUNDS: u64 = 100_000;
-
-/// Run the incremental DPLL(T) loop for `π` against the persistent
-/// database. Returns `true` when the query is proved unsat (`Verified`);
-/// `false` means "delegate to the fresh solver" (satisfiable, or the
-/// refinement loop did not converge).
-fn incremental_verified(inner: &mut Inner, pi: &Term) -> bool {
-    if inner.checker_valid {
-        // ¬checker canonicalized to False: π ∧ False is unsat for every
-        // π, exactly as the fresh path's joint preprocessing concludes.
-        return true;
+impl Inner {
+    /// Feed the clauses `cnf` emitted since the last sync to the SAT
+    /// core. `false` when the database has become propositionally unsat.
+    fn sync(&mut self) -> bool {
+        while let Some(clause) = self.cnf.clauses.get(self.synced) {
+            if !self.sat.add_clause(clause.clone()) {
+                return false;
+            }
+            self.synced += 1;
+        }
+        true
     }
-    let pre = preprocess(pi);
-    let clauses_before = inner.cnf.clauses.len();
-    let assumptions: Vec<_> = match &pre {
-        // π canonicalized to False: unsat regardless of the checker.
-        Term::False => return true,
-        // π canonicalized to True: the query is just SAT(¬checker).
-        Term::True => Vec::new(),
-        term => vec![inner.cnf.encode_term(term)],
-    };
-    // Feed the newly emitted (definitional) clauses to the SAT core.
-    while inner.synced < inner.cnf.clauses.len() {
-        let clause = inner.cnf.clauses[inner.synced].clone();
-        inner.synced += 1;
-        if !inner.sat.add_clause(clause) {
+
+    /// Run the shared refinement loop ([`refine`]) for `π` against the
+    /// persistent database. Returns `true` when the query is proved unsat
+    /// (`Verified`); `false` means "delegate to the fresh solver"
+    /// (satisfiable, or the refinement loop did not converge).
+    fn refute(&mut self, pi: &Term) -> bool {
+        if self.checker_valid {
+            // ¬checker canonicalized to False: π ∧ False is unsat for
+            // every π, exactly as the fresh path's joint preprocessing
+            // concludes.
             return true;
         }
-    }
-
-    let telemetry = lisa_telemetry::metrics_enabled() || lisa_telemetry::spans_enabled();
-    let span = telemetry.then(|| lisa_telemetry::span("smt.check"));
-    let started = std::time::Instant::now();
-    let before = inner.sat.stats;
-    let verified = solve_loop(inner, &assumptions);
-    let spent = inner.sat.stats.conflicts - before.conflicts;
-    inner.stats.conflicts += spent;
-    if let Some(mut span) = span {
-        // Mirror the per-query counters the stateless path publishes so
-        // `smt.*` telemetry stays live whichever path answered.
-        let after = inner.sat.stats;
-        if verified {
-            lisa_telemetry::counter_add("smt.queries", 1);
-            lisa_telemetry::counter_add("smt.outcome.unsat", 1);
-            lisa_telemetry::histogram_record(
-                "smt.query_us",
-                started.elapsed().as_micros() as u64,
-            );
+        let pre = preprocess(pi);
+        let clauses_before = self.cnf.clauses.len();
+        let assumptions: Vec<_> = match &pre {
+            // π canonicalized to False: unsat regardless of the checker.
+            Term::False => return true,
+            // π canonicalized to True: the query is just SAT(¬checker).
+            Term::True => Vec::new(),
+            term => vec![self.cnf.encode_term(term)],
+        };
+        if !self.sync() {
+            return true;
         }
-        lisa_telemetry::counter_add(
-            "smt.clauses",
-            (inner.cnf.clauses.len() - clauses_before) as u64,
-        );
-        lisa_telemetry::counter_add("smt.conflicts", after.conflicts - before.conflicts);
-        lisa_telemetry::counter_add("smt.decisions", after.decisions - before.decisions);
-        lisa_telemetry::counter_add(
-            "smt.propagations",
-            after.propagations - before.propagations,
-        );
-        lisa_telemetry::counter_add("smt.restarts", after.restarts - before.restarts);
-        span.set_detail(if verified { "unsat" } else { "session-fallback" });
-        span.arg("conflicts", after.conflicts - before.conflicts);
-        span.arg("decisions", after.decisions - before.decisions);
-        span.arg("learned", after.learned_clauses - before.learned_clauses);
-    }
-    verified
-}
 
-/// The lazy SAT ↔ theory refinement loop over the persistent core.
-fn solve_loop(inner: &mut Inner, assumptions: &[i32]) -> bool {
-    for _ in 0..MAX_ROUNDS {
-        match inner.sat.solve_under_assumptions(assumptions) {
-            // No budget is set on the persistent core, but stay total.
-            SatOutcome::Unknown => return false,
-            SatOutcome::Unsat => return true,
-            SatOutcome::Sat(assignment) => {
-                // The assignment covers every atom the session has ever
-                // encoded, including atoms from earlier queries. Stale
-                // atoms are harmless for completeness: any theory model
-                // of the live atoms evaluates them to *some* truth
-                // value, so a blocking clause citing one just steers the
-                // search, never excludes a real model of the live query.
-                let mut lits: Vec<TheoryLit> = Vec::new();
-                let mut lit_vars: Vec<usize> = Vec::new();
-                for (v, atom) in inner.cnf.atom_of.iter().enumerate() {
-                    if let Some(atom) = atom {
-                        lits.push((atom.clone(), assignment[v]));
-                        lit_vars.push(v);
-                    }
-                }
-                match theory::check(&lits) {
-                    // Theory-consistent SAT: a witness exists, so the
-                    // caller must re-derive it on the fresh path.
-                    TheoryResult::Consistent(_) => return false,
-                    TheoryResult::Conflict(indices) => {
-                        // A theory lemma over the atoms themselves —
-                        // valid in every query, so it joins the
-                        // persistent database unguarded.
-                        let clause: Vec<i32> = indices
-                            .iter()
-                            .map(|&i| {
-                                let v = lit_vars[i] as i32;
-                                if lits[i].1 {
-                                    -v
-                                } else {
-                                    v
-                                }
-                            })
-                            .collect();
-                        if clause.is_empty() || !inner.sat.add_clause(clause) {
-                            return true;
-                        }
-                    }
-                }
-            }
+        let query = open_query();
+        let before = self.sat.stats;
+        let (refined, rounds) = refine(&mut self.sat, &self.cnf.atom_of, &assumptions);
+        // Only a refutation is answered here: a satisfiable query needs
+        // the fresh path's canonical witness, and an Unknown its honest
+        // reason.
+        let verified = matches!(refined, Refined::Unsat);
+        let mut work = SolverStats {
+            cnf_clauses: (self.cnf.clauses.len() - clauses_before) as u64,
+            cnf_vars: self.cnf.num_vars() as u64,
+            ..SolverStats::default()
+        };
+        work.record_work(rounds, &self.sat, before);
+        self.stats.conflicts += work.sat_conflicts;
+        if let Some(query) = query {
+            publish_query(query, verified.then_some(&SatResult::Unsat), &work);
         }
+        verified
     }
-    // Refinement did not converge: let the fresh path produce the same
-    // honest Unknown the stateless solver would.
-    false
 }
 
 #[cfg(test)]

@@ -1,13 +1,20 @@
 //! The DPLL(T) driver: SAT core + theory solver in a lazy loop, plus the
 //! high-level entailment queries LISA uses (implication, equivalence, and
 //! the paper's complement-of-the-checker violation test).
+//!
+//! `refine` is the one SAT ↔ theory refinement loop in the crate: the
+//! fresh [`Solver`] runs it on a throwaway SAT core, and
+//! [`crate::SolverSession`] runs it on its persistent one. Both publish
+//! their per-query `smt.*` telemetry through `publish_query`.
+
+use std::time::Instant;
 
 use crate::cnf::{Cnf, PLit};
 use crate::model::{Model, Value};
 use crate::nnf::preprocess;
-use crate::sat::{SatOutcome, SatSolver};
-use crate::term::{Sort, Term};
-use crate::theory::{self, TheoryLit, TheoryResult};
+use crate::sat::{SatOutcome, SatSolver, SatStats};
+use crate::term::{Atom, Sort, Term};
+use crate::theory::{self, TheoryLit, TheoryModel, TheoryResult};
 
 /// Result of a satisfiability check.
 #[derive(Debug)]
@@ -52,29 +59,139 @@ pub struct SolverStats {
     pub cnf_vars: u64,
 }
 
+impl SolverStats {
+    /// Record `rounds` refinement rounds and the SAT-core work `sat` did
+    /// since its counters read `since`. The CNF fields are left as set.
+    pub(crate) fn record_work(&mut self, rounds: u64, sat: &SatSolver, since: SatStats) {
+        self.theory_rounds = rounds;
+        self.sat_decisions = sat.stats.decisions - since.decisions;
+        self.sat_conflicts = sat.stats.conflicts - since.conflicts;
+        self.sat_propagations = sat.stats.propagations - since.propagations;
+        self.sat_restarts = sat.stats.restarts - since.restarts;
+        self.sat_learned = sat.stats.learned_clauses - since.learned_clauses;
+    }
+}
+
+/// Upper bound on lazy theory-refinement rounds per query: a safety
+/// valve, far above anything the LISA workload reaches.
+const MAX_ROUNDS: u64 = 100_000;
+
+/// How one run of [`refine`] ended.
+pub(crate) enum Refined {
+    Unsat,
+    /// The SAT budget ran out, or refinement did not converge within
+    /// [`MAX_ROUNDS`]. Picking a side would be unsound for the violation
+    /// check, so this is the honest "don't know".
+    Unknown(String),
+    /// A theory-consistent assignment: its theory literals and the
+    /// theory's witness for them.
+    Sat(Vec<TheoryLit>, TheoryModel),
+}
+
+/// The lazy DPLL(T) loop: solve under `assumptions`, check the
+/// assignment's theory literals (`atom_of[v]` is the atom behind SAT
+/// variable `v`), and block each theory-inconsistent assignment with a
+/// clause, until the SAT core refutes, the theory accepts, or
+/// [`MAX_ROUNDS`] rounds pass. Returns the outcome and the rounds run.
+/// The `session` module doc says why this is sound on a persistent core.
+pub(crate) fn refine(
+    sat: &mut SatSolver,
+    atom_of: &[Option<Atom>],
+    assumptions: &[PLit],
+) -> (Refined, u64) {
+    for round in 1..=MAX_ROUNDS {
+        let assignment = match sat.solve_under_assumptions(assumptions) {
+            SatOutcome::Unsat => return (Refined::Unsat, round),
+            SatOutcome::Unknown => {
+                let reason = format!(
+                    "sat budget exhausted ({} conflicts, {} decisions)",
+                    sat.stats.conflicts, sat.stats.decisions
+                );
+                return (Refined::Unknown(reason), round);
+            }
+            SatOutcome::Sat(assignment) => assignment,
+        };
+        let (lits, lit_vars): (Vec<TheoryLit>, Vec<usize>) = atom_of
+            .iter()
+            .enumerate()
+            .filter_map(|(v, atom)| Some(((atom.clone()?, assignment[v]), v)))
+            .unzip();
+        match theory::check(&lits) {
+            TheoryResult::Consistent(tm) => return (Refined::Sat(lits, tm), round),
+            TheoryResult::Conflict(indices) => {
+                // Block this theory-inconsistent assignment: at least one
+                // cited literal must flip, so the clause is their negations.
+                let clause: Vec<PLit> = indices
+                    .iter()
+                    .map(|&i| lit_vars[i] as PLit * if lits[i].1 { -1 } else { 1 })
+                    .collect();
+                debug_assert!(!clause.is_empty(), "theory conflict cites literals");
+                if clause.is_empty() || !sat.add_clause(clause) {
+                    return (Refined::Unsat, round);
+                }
+            }
+        }
+    }
+    let reason = format!("theory refinement did not converge within {MAX_ROUNDS} rounds");
+    (Refined::Unknown(reason), MAX_ROUNDS)
+}
+
+/// Open one query's `smt.check` span and start its clock; `None` when no
+/// telemetry is collected.
+pub(crate) fn open_query() -> Option<(lisa_telemetry::SpanGuard, Instant)> {
+    let on = lisa_telemetry::metrics_enabled() || lisa_telemetry::spans_enabled();
+    on.then(|| (lisa_telemetry::span("smt.check"), Instant::now()))
+}
+
+/// Publish one query's `smt.*` counters and close the span
+/// [`open_query`] opened. `result` is `None` for a session query that
+/// falls back to the fresh path: that fresh check counts the query, its
+/// outcome and its latency, so only the session's own work is added here.
+pub(crate) fn publish_query(
+    (mut span, started): (lisa_telemetry::SpanGuard, Instant),
+    result: Option<&SatResult>,
+    work: &SolverStats,
+) {
+    let (detail, outcome) = match result {
+        Some(SatResult::Sat(_)) => ("sat", Some("smt.outcome.sat")),
+        Some(SatResult::Unsat) => ("unsat", Some("smt.outcome.unsat")),
+        Some(SatResult::Unknown { .. }) => ("unknown", Some("smt.outcome.unknown")),
+        None => ("session-fallback", None),
+    };
+    if let Some(outcome) = outcome {
+        lisa_telemetry::counter_add("smt.queries", 1);
+        lisa_telemetry::counter_add(outcome, 1);
+        lisa_telemetry::histogram_record("smt.query_us", started.elapsed().as_micros() as u64);
+    }
+    span.set_detail(detail);
+    span.arg("rounds", work.theory_rounds);
+    for (counter, key, value) in [
+        ("smt.conflicts", "conflicts", work.sat_conflicts),
+        ("smt.decisions", "decisions", work.sat_decisions),
+        ("smt.propagations", "propagations", work.sat_propagations),
+        ("smt.restarts", "restarts", work.sat_restarts),
+        ("smt.clauses", "clauses", work.cnf_clauses),
+    ] {
+        lisa_telemetry::counter_add(counter, value);
+        span.arg(key, value);
+    }
+    span.arg("learned", work.sat_learned);
+    span.arg("vars", work.cnf_vars);
+}
+
 /// The solver. Stateless between `check` calls; construct once and reuse,
 /// or use the free functions below.
 #[derive(Debug, Default)]
 pub struct Solver {
     pub stats: SolverStats,
-    /// Upper bound on lazy theory-refinement rounds; a safety valve, far
-    /// above anything the LISA workload reaches.
-    pub max_rounds: u64,
     /// SAT-core conflict budget for the whole `check` call (`None` =
     /// unbounded). Exhaustion yields [`SatResult::Unknown`].
     pub max_conflicts: Option<u64>,
-    /// SAT-core decision budget, same semantics.
-    pub max_decisions: Option<u64>,
 }
 
 impl Solver {
     pub fn new() -> Self {
-        Solver {
-            stats: SolverStats::default(),
-            max_rounds: 100_000,
-            max_conflicts: None,
-            max_decisions: None,
-        }
+        Solver::default()
     }
 
     /// A solver with a conflict budget; use for gate calls that must
@@ -90,41 +207,11 @@ impl Solver {
     /// restarts, CNF size, outcome) is published through `lisa-telemetry`
     /// when collection is on; the verdict itself never depends on it.
     pub fn check(&mut self, term: &Term) -> SatResult {
-        if !lisa_telemetry::metrics_enabled() && !lisa_telemetry::spans_enabled() {
-            return self.check_inner(term);
-        }
-        let mut span = lisa_telemetry::span("smt.check");
-        let start = std::time::Instant::now();
+        let query = open_query();
         let result = self.check_inner(term);
-        let outcome = match &result {
-            SatResult::Sat(_) => "sat",
-            SatResult::Unsat => "unsat",
-            SatResult::Unknown { .. } => "unknown",
-        };
-        lisa_telemetry::counter_add("smt.queries", 1);
-        lisa_telemetry::counter_add(
-            match &result {
-                SatResult::Sat(_) => "smt.outcome.sat",
-                SatResult::Unsat => "smt.outcome.unsat",
-                SatResult::Unknown { .. } => "smt.outcome.unknown",
-            },
-            1,
-        );
-        lisa_telemetry::counter_add("smt.conflicts", self.stats.sat_conflicts);
-        lisa_telemetry::counter_add("smt.decisions", self.stats.sat_decisions);
-        lisa_telemetry::counter_add("smt.propagations", self.stats.sat_propagations);
-        lisa_telemetry::counter_add("smt.restarts", self.stats.sat_restarts);
-        lisa_telemetry::counter_add("smt.clauses", self.stats.cnf_clauses);
-        lisa_telemetry::histogram_record("smt.query_us", start.elapsed().as_micros() as u64);
-        span.set_detail(outcome);
-        span.arg("rounds", self.stats.theory_rounds);
-        span.arg("conflicts", self.stats.sat_conflicts);
-        span.arg("decisions", self.stats.sat_decisions);
-        span.arg("propagations", self.stats.sat_propagations);
-        span.arg("restarts", self.stats.sat_restarts);
-        span.arg("learned", self.stats.sat_learned);
-        span.arg("clauses", self.stats.cnf_clauses);
-        span.arg("vars", self.stats.cnf_vars);
+        if let Some(query) = query {
+            publish_query(query, Some(&result), &self.stats);
+        }
         result
     }
 
@@ -149,121 +236,50 @@ impl Solver {
         self.stats.cnf_vars = cnf.num_vars() as u64;
         let mut sat = SatSolver::new(cnf.num_vars());
         sat.max_conflicts = self.max_conflicts;
-        sat.max_decisions = self.max_decisions;
         for clause in &cnf.clauses {
             if !sat.add_clause(clause.clone()) {
                 return SatResult::Unsat;
             }
         }
 
-        loop {
-            self.stats.theory_rounds += 1;
-            if self.stats.theory_rounds > self.max_rounds {
-                // The lazy loop did not converge within the round budget.
-                // Picking a side here would be unsound for the violation
-                // check, so report the honest "don't know".
-                self.capture_stats(&sat);
-                return SatResult::Unknown {
-                    reason: format!(
-                        "theory refinement did not converge within {} rounds",
-                        self.max_rounds
-                    ),
-                };
-            }
-            match sat.solve() {
-                SatOutcome::Unknown => {
-                    self.capture_stats(&sat);
-                    return SatResult::Unknown {
-                        reason: format!(
-                            "sat budget exhausted ({} conflicts, {} decisions)",
-                            sat.stats.conflicts, sat.stats.decisions
-                        ),
-                    };
-                }
-                SatOutcome::Unsat => {
-                    self.capture_stats(&sat);
-                    return SatResult::Unsat;
-                }
-                SatOutcome::Sat(assignment) => {
-                    // Extract theory literals from the boolean assignment.
-                    let mut lits: Vec<TheoryLit> = Vec::new();
-                    let mut lit_vars: Vec<usize> = Vec::new();
-                    for (v, atom) in cnf.atom_of.iter().enumerate() {
-                        if let Some(atom) = atom {
-                            lits.push((atom.clone(), assignment[v]));
-                            lit_vars.push(v);
-                        }
-                    }
-                    match theory::check(&lits) {
-                        TheoryResult::Consistent(tm) => {
-                            self.capture_stats(&sat);
-                            let mut model = Model::new();
-                            for (i, (atom, positive)) in lits.iter().enumerate() {
-                                let _ = (i, positive);
-                                if let crate::term::Atom::BoolVar(v) = atom {
-                                    model.set(v.clone(), Value::Bool(lits[i].1));
-                                }
-                            }
-                            for (k, v) in tm.ints {
-                                model.set(k, Value::Int(v));
-                            }
-                            for (k, v) in tm.refs {
-                                model.set(k, Value::Ref(v));
-                            }
-                            for (k, v) in tm.strs {
-                                model.set(k, Value::Str(v));
-                            }
-                            // Fill sorts for vars never mentioned in any
-                            // asserted literal polarity that the theory saw.
-                            for (var, sort) in pre.vars() {
-                                if model.get(&var).is_none() {
-                                    model.set(
-                                        var,
-                                        match sort {
-                                            Sort::Bool => Value::Bool(false),
-                                            Sort::Int => Value::Int(0),
-                                            Sort::Ref => Value::Ref(None),
-                                            Sort::Str => Value::Str(String::new()),
-                                        },
-                                    );
-                                }
-                            }
-                            model.validated = model.eval(&pre);
-                            return SatResult::Sat(model);
-                        }
-                        TheoryResult::Conflict(indices) => {
-                            // Block this theory-inconsistent assignment:
-                            // at least one cited literal must flip.
-                            let clause: Vec<PLit> = indices
-                                .iter()
-                                .map(|&i| {
-                                    let v = lit_vars[i] as PLit;
-                                    if lits[i].1 {
-                                        -v
-                                    } else {
-                                        v
-                                    }
-                                })
-                                .collect();
-                            debug_assert!(!clause.is_empty(), "theory conflict cites literals");
-                            if clause.is_empty() || !sat.add_clause(clause) {
-                                self.capture_stats(&sat);
-                                return SatResult::Unsat;
-                            }
-                        }
-                    }
-                }
-            }
+        let (refined, rounds) = refine(&mut sat, &cnf.atom_of, &[]);
+        self.stats.record_work(rounds, &sat, SatStats::default());
+        match refined {
+            Refined::Unsat => SatResult::Unsat,
+            Refined::Unknown(reason) => SatResult::Unknown { reason },
+            Refined::Sat(lits, tm) => SatResult::Sat(witness(&pre, &lits, tm)),
         }
     }
+}
 
-    fn capture_stats(&mut self, sat: &SatSolver) {
-        self.stats.sat_decisions = sat.stats.decisions;
-        self.stats.sat_conflicts = sat.stats.conflicts;
-        self.stats.sat_propagations = sat.stats.propagations;
-        self.stats.sat_restarts = sat.stats.restarts;
-        self.stats.sat_learned = sat.stats.learned_clauses;
+/// The witness model for a theory-consistent assignment of `pre`'s
+/// atoms: boolean variables from the literals, the rest from the theory
+/// model, and a default for every variable neither mentions.
+fn witness(pre: &Term, lits: &[TheoryLit], tm: TheoryModel) -> Model {
+    let mut model = Model::new();
+    let bools = lits.iter().filter_map(|(atom, value)| match atom {
+        Atom::BoolVar(v) => Some((v.clone(), Value::Bool(*value))),
+        _ => None,
+    });
+    let ints = tm.ints.into_iter().map(|(k, v)| (k, Value::Int(v)));
+    let refs = tm.refs.into_iter().map(|(k, v)| (k, Value::Ref(v)));
+    let strs = tm.strs.into_iter().map(|(k, v)| (k, Value::Str(v)));
+    for (var, value) in bools.chain(ints).chain(refs).chain(strs) {
+        model.set(var, value);
     }
+    for (var, sort) in pre.vars() {
+        if model.get(&var).is_none() {
+            let value = match sort {
+                Sort::Bool => Value::Bool(false),
+                Sort::Int => Value::Int(0),
+                Sort::Ref => Value::Ref(None),
+                Sort::Str => Value::Str(String::new()),
+            };
+            model.set(var, value);
+        }
+    }
+    model.validated = model.eval(pre);
+    model
 }
 
 /// Is `term` satisfiable?
@@ -323,9 +339,8 @@ pub fn violates_budgeted(
     checker: &Term,
     max_conflicts: Option<u64>,
 ) -> ViolationOutcome {
-    let mut solver = Solver::new();
-    solver.max_conflicts = max_conflicts;
-    match solver.check(&Term::and([pi.clone(), checker.clone().not()])) {
+    let query = Term::and([pi.clone(), checker.clone().not()]);
+    match (Solver { max_conflicts, ..Solver::new() }).check(&query) {
         SatResult::Sat(m) => ViolationOutcome::Violated(m),
         SatResult::Unsat => ViolationOutcome::Verified,
         SatResult::Unknown { reason } => ViolationOutcome::Unknown { reason },
@@ -525,6 +540,22 @@ mod tests {
             ViolationOutcome::Verified => {}
             other => panic!("expected Verified, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn default_solver_agrees_with_new() {
+        // x > 0 && y < x
+        let t = Term::and([
+            Term::int_cmp_c("x", CmpOp::Gt, 0),
+            Term::int_cmp_v("y", CmpOp::Lt, "x"),
+        ]);
+        let by_default = Solver::default().check(&t);
+        let by_new = Solver::new().check(&t);
+        let (Some(a), Some(b)) = (by_default.model(), by_new.model()) else {
+            panic!("both must be Sat: default {by_default:?}, new {by_new:?}");
+        };
+        assert!(a.validated, "{a}");
+        assert_eq!(format!("{a}"), format!("{b}"));
     }
 
     #[test]

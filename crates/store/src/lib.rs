@@ -10,14 +10,11 @@
 //!   torn-tail truncation, per-record quarantine of corrupt frames, and
 //!   atomic (write-temp + fsync + rename) snapshot checkpoints. I/O
 //!   faults are injectable at every seam via [`IoFaults`].
-//! - [`event`] — the gate event vocabulary (rule registered, check
+//! - [`event`] — the gate event vocabulary (run started, check
 //!   started/finished, run verdict) and its self-describing text codec.
 //! - [`run`] — per-run recovery: replaying journal + snapshot yields the
 //!   set of already-settled rule verdicts, so a killed gate run resumes
 //!   without re-checking them.
-//! - [`rules`] — the persistent rule store backing `RuleRegistry`:
-//!   replace-in-place registration semantics hold across process
-//!   restarts.
 //! - [`codec`] — the escaped `key=value` field codec all records share.
 //! - [`repl`] — leader→follower journal shipping: a publisher bus fed by
 //!   the store's mutation seams, a CRC'd wire frame codec (same envelope
@@ -36,7 +33,6 @@ pub mod fingerprints;
 pub mod journal;
 pub mod repl;
 pub mod run;
-pub mod rules;
 
 pub use event::{GateEvent, RuleOutcome};
 pub use fingerprints::{FingerprintFile, RuleFingerprint};
@@ -49,7 +45,6 @@ pub use repl::{
     StreamFaults, Wire, MAX_WIRE_FRAME, REPL_VERSION,
 };
 pub use run::{RunState, RunStore};
-pub use rules::RuleStore;
 
 use std::fmt;
 

@@ -61,8 +61,6 @@ impl RunState {
             GateEvent::RunFinished { decision } => {
                 self.decision = Some(decision.clone());
             }
-            // Rule registrations belong to the rule store, not a run.
-            GateEvent::RuleRegistered { .. } => {}
         }
     }
 

@@ -16,6 +16,16 @@ UNSAFE_FILES="$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates/ || true)"
     || { echo "allow(unsafe_code) must appear only in netloop.rs, found: ${UNSAFE_FILES:-none}"; exit 1; }
 echo "unsafe scope check: ok"
 
+# One DPLL(T) refinement loop: `theory::check(` has exactly one non-test
+# call site in lisa-smt (`solver::refine`), which the fresh solver and
+# the incremental session share, so the SAT <-> theory loop cannot fork.
+THEORY_CALLS="$(for f in crates/smt/src/*.rs; do
+    awk '/#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// && /theory::check\(/ { print FILENAME ":" FNR }' "$f"
+done)"
+[ "$(printf '%s' "$THEORY_CALLS" | grep -c .)" -eq 1 ] \
+    || { echo "theory::check( must have one non-test call site in crates/smt/src, found: ${THEORY_CALLS:-none}"; exit 1; }
+echo "refinement loop check: ok ($THEORY_CALLS)"
+
 # No call sites may depend on deprecated APIs: the old free-function
 # entry points are gone, and nothing new may rot behind a deprecation
 # warning either.
