@@ -8,15 +8,13 @@
 //! reaches a rule's target statement.
 //!
 //! - [`engine`] — the tracer: policies, constraints, target hits,
-//! - [`harness`] — per-test execution with fresh interpreter state,
-//! - [`tracelog`] — binary persistence of hits and offline re-judging.
+//! - [`harness`] — per-test execution with fresh interpreter state.
 
 #![forbid(unsafe_code)]
 
 pub mod cache;
 pub mod engine;
 pub mod harness;
-pub mod tracelog;
 
 pub use cache::TraceCache;
 pub use engine::{ConcolicTracer, Constraint, EngineStats, Policy, TargetHit};
@@ -24,4 +22,3 @@ pub use harness::{
     discover_tests, run_tests, run_tests_budgeted, HarnessBudget, HarnessOutcome, SystemVersion,
     TestCase, TestRun,
 };
-pub use tracelog::{decode as decode_trace, encode as encode_trace, rejudge, TraceError, TraceRecord};

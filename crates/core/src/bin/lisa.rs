@@ -74,31 +74,16 @@ use std::time::Duration;
 use lisa::faults::FAULT_PANIC_PREFIX;
 use lisa::report::{render_enforcement, render_rule_report};
 use lisa::{
-    gate_durable, load_rules, load_system, request, serve, Addr, DurableOptions, FailMode, Gate,
-    GateConfig, GateDecision, GateOptions, Json, Pipeline, RuleRegistry, ServeConfig,
-    StreamFaultInjector,
+    gate_durable, load_rules, load_system, request, serve, Addr, DurableOptions, Gate, GateConfig,
+    GateOptions, Json, Pipeline, RuleRegistry, ServeConfig, StreamFaultInjector,
 };
 use lisa_analysis::{execution_tree_filtered, CallGraph, TargetSpec, TreeLimits};
 use lisa_oracle::suggest_conditions;
-use lisa_util::RetryPolicy;
-
-/// How a successful run (no usage/load error) ended.
-enum Outcome {
-    /// Gate passed / no violations.
-    Clean,
-    /// Semantic-rule violations: the change is blocked.
-    Violations,
-    /// The gate machinery failed on at least one rule under fail-closed:
-    /// nobody knows whether the change is safe.
-    EngineFailure,
-}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(Outcome::Clean) => ExitCode::SUCCESS,
-        Ok(Outcome::Violations) => ExitCode::from(1),
-        Ok(Outcome::EngineFailure) => ExitCode::from(2),
+        Ok(code) => ExitCode::from(code),
         Err(msg) => {
             eprintln!("error: {msg}");
             eprintln!();
@@ -134,7 +119,9 @@ flags accepted everywhere:
   --trace-out <file>       write a Chrome trace (Perfetto-loadable) of the run
   --metrics-out <file>     write a counters + latency-histogram JSON snapshot";
 
-fn run(args: &[String]) -> Result<Outcome, String> {
+/// Run one subcommand; `Ok` carries the exit code of a run that ended
+/// without a usage or load error ([`lisa::GateDecision::exit_code`]).
+fn run(args: &[String]) -> Result<u8, String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
@@ -211,7 +198,7 @@ fn parse_num<T: std::str::FromStr>(
         .transpose()
 }
 
-fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, String> {
+fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<u8, String> {
     // Every gate-relevant flag is parsed in one place; check mode and the
     // serve daemon consume the same struct.
     let cfg = GateConfig::from_args(flags)?;
@@ -256,18 +243,7 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
         } else {
             print!("{}", render_enforcement(&report));
         }
-        // Exit 2 is reserved for true engine errors: the gate could not
-        // complete a check under fail-closed and no violation explains
-        // the block. Genuine violations stay exit 1.
-        if report.reports.iter().any(|r| r.has_violation()) {
-            Ok(Outcome::Violations)
-        } else if report.has_engine_errors() && cfg.fail_mode == FailMode::Closed {
-            Ok(Outcome::EngineFailure)
-        } else if report.decision == GateDecision::Pass {
-            Ok(Outcome::Clean)
-        } else {
-            Ok(Outcome::Violations)
-        }
+        Ok(report.decision.exit_code(report.reports.iter().any(|r| r.has_violation())))
     } else {
         let pipeline = Pipeline::new(config);
         let mut clean = true;
@@ -284,14 +260,14 @@ fn cmd_check(flags: &HashMap<String, String>, gate: bool) -> Result<Outcome, Str
         if json {
             println!("[{}]", json_reports.join(","));
         }
-        Ok(if clean { Outcome::Clean } else { Outcome::Violations })
+        Ok(if clean { 0 } else { 1 })
     }
 }
 
 /// `lisa resume` — continue a journaled gate run. Identical to
 /// `gate --state <dir>`: the journal itself knows which verdicts are
 /// already settled, so "start" and "resume" are the same operation.
-fn cmd_resume(flags: &HashMap<String, String>) -> Result<Outcome, String> {
+fn cmd_resume(flags: &HashMap<String, String>) -> Result<u8, String> {
     let cfg = GateConfig::from_args(flags)?;
     let version = load_system(required(flags, "system")?, &cfg.pipeline.test_prefix)?;
     let rules = load_rules(required(flags, "rules")?)?;
@@ -312,7 +288,7 @@ fn run_durable(
     options: &GateOptions,
     state: &str,
     json: bool,
-) -> Result<Outcome, String> {
+) -> Result<u8, String> {
     let durable = DurableOptions {
         state_dir: PathBuf::from(state),
         cache: cfg.gate_cache(),
@@ -328,45 +304,34 @@ fn run_durable(
     } else {
         print!("{}", report.render());
     }
-    if report.has_violation() {
-        Ok(Outcome::Violations)
-    } else if report.engine_errors() > 0 && report.fail_mode == FailMode::Closed {
-        Ok(Outcome::EngineFailure)
-    } else {
-        Ok(Outcome::Clean)
-    }
+    Ok(report.decision.exit_code(report.has_violation()))
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
+fn cmd_serve(flags: &HashMap<String, String>) -> Result<u8, String> {
     let socket = PathBuf::from(required(flags, "socket")?);
-    let state_root = flags
-        .get("state-root")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| socket.with_extension("state"));
+    // Only the flags given override the library defaults.
+    let defaults = ServeConfig::default();
+    let millis = |name: &str| Ok::<_, String>(parse_num(flags, name)?.map(Duration::from_millis));
     let config = ServeConfig {
+        state_root: flags
+            .get("state-root")
+            .map(PathBuf::from)
+            .unwrap_or_else(|| socket.with_extension("state")),
         socket,
-        state_root,
         workers: match flags.get("workers").map(String::as_str) {
-            None => 2,
+            None => defaults.workers,
             Some("auto") => 0,
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--workers {v}: expected a number or `auto`"))?,
         },
-        queue_cap: parse_num(flags, "queue-cap")?.unwrap_or(64),
-        job_timeout: Duration::from_millis(
-            parse_num::<u64>(flags, "job-timeout-ms")?.unwrap_or(30_000),
-        ),
-        max_attempts: parse_num(flags, "max-attempts")?.unwrap_or(3),
-        retry: RetryPolicy::default(),
+        queue_cap: parse_num(flags, "queue-cap")?.unwrap_or(defaults.queue_cap),
+        job_timeout: millis("job-timeout-ms")?.unwrap_or(defaults.job_timeout),
+        max_attempts: parse_num(flags, "max-attempts")?.unwrap_or(defaults.max_attempts),
         follow: flags.get("follow").cloned(),
         repl_listen: flags.get("repl-listen").cloned(),
-        heartbeat_interval: Duration::from_millis(
-            parse_num::<u64>(flags, "heartbeat-ms")?.unwrap_or(500),
-        ),
-        heartbeat_timeout: Duration::from_millis(
-            parse_num::<u64>(flags, "heartbeat-timeout-ms")?.unwrap_or(2500),
-        ),
+        heartbeat_interval: millis("heartbeat-ms")?.unwrap_or(defaults.heartbeat_interval),
+        heartbeat_timeout: millis("heartbeat-timeout-ms")?.unwrap_or(defaults.heartbeat_timeout),
         // Test hook: seed a fault plan at the replication receive seam
         // (torn frames, short reads, bit flips, stalled heartbeats).
         stream_faults: parse_num::<u64>(flags, "repl-fault-seed")?
@@ -374,10 +339,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
         listen: flags.get("listen").cloned(),
         tenants: match flags.get("tenants") {
             Some(spec) => lisa::parse_tenant_specs(spec)?,
-            None => Vec::new(),
+            None => defaults.tenants.clone(),
         },
-        tenant_cap: parse_num(flags, "tenant-cap")?.unwrap_or(0),
-        max_conns: parse_num(flags, "max-conns")?.unwrap_or(4096),
+        tenant_cap: parse_num(flags, "tenant-cap")?.unwrap_or(defaults.tenant_cap),
+        max_conns: parse_num(flags, "max-conns")?.unwrap_or(defaults.max_conns),
+        ..defaults
     };
     // Chaos panics (and enforce-side injected panics) are expected,
     // supervised events in a daemon — keep them off stderr.
@@ -405,10 +371,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<Outcome, String> {
             if stats.promotions > 0 { ", promoted from follower" } else { "" },
         )
     });
-    Ok(Outcome::Clean)
+    Ok(0)
 }
 
-fn cmd_submit(flags: &HashMap<String, String>) -> Result<Outcome, String> {
+fn cmd_submit(flags: &HashMap<String, String>) -> Result<u8, String> {
     // One of the two transports: --socket (unix) or --addr (TCP, for a
     // daemon started with --listen). Same protocol, same reply bytes.
     let op = flags.get("op").map(String::as_str).unwrap_or("gate");
@@ -455,29 +421,26 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     let reply = request(&addr, &line).map_err(|e| format!("request to {addr}: {e}"))?;
     println!("{reply}");
     let parsed = Json::parse(&reply).map_err(|e| format!("bad reply: {e}"))?;
-    match parsed.u64_of("exit") {
-        Some(0) | None => Ok(Outcome::Clean),
-        Some(1) => Ok(Outcome::Violations),
-        Some(_) => Ok(Outcome::EngineFailure),
-    }
+    // A reply without `exit` (ping, stats, ...) is a clean run.
+    Ok(parsed.u64_of("exit").map_or(0, |code| code.min(2) as u8))
 }
 
-fn cmd_suggest(flags: &HashMap<String, String>) -> Result<Outcome, String> {
+fn cmd_suggest(flags: &HashMap<String, String>) -> Result<u8, String> {
     let version = load_system(required(flags, "system")?, "test_")?;
     let target = required(flags, "target")?;
     let suggestions = suggest_conditions(&version.program, target);
     if suggestions.is_empty() {
         println!("no guarded paths to `{target}` found — nothing to suggest");
-        return Ok(Outcome::Clean);
+        return Ok(0);
     }
     println!("suggested conditions for `when calling {target}, require ...`:");
     for s in suggestions {
         println!("  [{} path(s) already enforce] {}", s.support, s.condition_src);
     }
-    Ok(Outcome::Clean)
+    Ok(0)
 }
 
-fn cmd_paths(flags: &HashMap<String, String>) -> Result<Outcome, String> {
+fn cmd_paths(flags: &HashMap<String, String>) -> Result<u8, String> {
     let version = load_system(required(flags, "system")?, "test_")?;
     let target = required(flags, "target")?;
     let graph = CallGraph::build(&version.program);
@@ -492,5 +455,5 @@ fn cmd_paths(flags: &HashMap<String, String>) -> Result<Outcome, String> {
     if tree.truncated {
         println!("  ... (truncated)");
     }
-    Ok(Outcome::Clean)
+    Ok(0)
 }

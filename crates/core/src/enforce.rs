@@ -80,6 +80,29 @@ pub enum GateDecision {
     Block,
 }
 
+impl GateDecision {
+    /// The gate's one decision rule: block on any violation, and under
+    /// fail-closed also on any engine error.
+    pub fn decide(has_violation: bool, engine_errors: usize, fail_mode: FailMode) -> GateDecision {
+        if has_violation || (engine_errors > 0 && fail_mode == FailMode::Closed) {
+            GateDecision::Block
+        } else {
+            GateDecision::Pass
+        }
+    }
+
+    /// The exit-code contract shared by the CLI and the serve replies:
+    /// 0 = pass, 1 = violations, 2 = a block no violation explains (an
+    /// engine error under fail-closed).
+    pub fn exit_code(self, has_violation: bool) -> u8 {
+        match (has_violation, self) {
+            (true, _) => 1,
+            (false, GateDecision::Block) => 2,
+            (false, GateDecision::Pass) => 0,
+        }
+    }
+}
+
 impl fmt::Display for GateDecision {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -247,13 +270,7 @@ pub(crate) fn enforce_impl(
     }
 
     let has_violation = reports.iter().any(|r| r.has_violation());
-    let decision = if has_violation
-        || (engine_errors > 0 && options.fail_mode == FailMode::Closed)
-    {
-        GateDecision::Block
-    } else {
-        GateDecision::Pass
-    };
+    let decision = GateDecision::decide(has_violation, engine_errors, options.fail_mode);
     let mut review_needed: usize = reports.iter().map(|r| r.not_covered_count()).sum();
     if options.fail_mode == FailMode::Closed {
         // Engine-errored rules need a human verdict too.
@@ -437,6 +454,25 @@ mod tests {
 
     fn config() -> PipelineConfig {
         PipelineConfig { selection: TestSelection::All, ..PipelineConfig::default() }
+    }
+
+    #[test]
+    fn decision_and_exit_code_table() {
+        use FailMode::{Closed, Open};
+        use GateDecision::{Block, Pass};
+        // (violation, engine errors, fail mode) -> (decision, exit)
+        let table = [
+            ("violation", true, 0, Closed, Block, 1),
+            ("engine error, fail-closed", false, 1, Closed, Block, 2),
+            ("engine error, fail-open", false, 1, Open, Pass, 0),
+            ("violation and engine error, fail-closed", true, 1, Closed, Block, 1),
+            ("clean", false, 0, Closed, Pass, 0),
+        ];
+        for (case, violation, errors, mode, decision, exit) in table {
+            let decided = GateDecision::decide(violation, errors, mode);
+            assert_eq!(decided, decision, "{case}: decision");
+            assert_eq!(decided.exit_code(violation), exit, "{case}: exit");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 #![allow(unsafe_code)]
 
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::raw::{c_int, c_ulong};
@@ -163,6 +163,18 @@ impl Addr {
     }
 }
 
+/// Client side: send one NDJSON request to a daemon listener and wait for
+/// the one-line reply. Every listener speaks the same protocol, so the
+/// reply bytes do not depend on the transport.
+pub fn request(addr: &Addr, line: &str) -> io::Result<String> {
+    let mut stream = addr.connect()?;
+    stream.set_read_timeout(Some(Duration::from_secs(600)))?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
+    let mut out = String::new();
+    BufReader::new(stream).read_line(&mut out)?;
+    Ok(out.trim_end().to_string())
+}
+
 /// A connected socket on either transport. Both carry the same NDJSON
 /// request line (and, after a `follow`, the same replication frames), so
 /// every reply byte is transport-independent.
@@ -231,6 +243,12 @@ impl Listener {
 /// structured bad-request and is closed — a client spraying bytes
 /// without a newline must not grow daemon memory.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// NDJSON protocol version every listener speaks. Requests may carry a
+/// `"v"` field; a missing `v` is treated as version 1 (the field
+/// predates nothing — v1 is the first and only version), while any other
+/// value is a structured bad-request.
+pub const PROTOCOL_VERSION: u64 = 1;
 
 /// A connection that connects but never completes a request line is
 /// dropped after this long; its fd slot is reclaimed.

@@ -63,18 +63,9 @@ impl GateEvent {
             GateEvent::RuleCheckStarted { rule_id } => {
                 encode(&[("kind", "check-started"), ("rule", rule_id)])
             }
-            GateEvent::RuleCheckFinished { outcome: o } => encode(&[
-                ("kind", "check-finished"),
-                ("rule", &o.rule_id),
-                ("fp", &o.fingerprint),
-                ("verified", &o.verified.to_string()),
-                ("violated", &o.violated.to_string()),
-                ("not_covered", &o.not_covered.to_string()),
-                ("engine_errors", &o.engine_errors.to_string()),
-                ("degraded", if o.degraded { "1" } else { "0" }),
-                ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
-                ("retries", &o.retries.to_string()),
-            ]),
+            GateEvent::RuleCheckFinished { outcome } => {
+                encode_outcome(("kind", "check-finished"), outcome)
+            }
             GateEvent::RunFinished { decision } => {
                 encode(&[("kind", "run-finished"), ("decision", decision)])
             }
@@ -90,25 +81,48 @@ impl GateEvent {
             "check-started" => {
                 Ok(GateEvent::RuleCheckStarted { rule_id: field(&fields, "rule")?.to_string() })
             }
-            "check-finished" => Ok(GateEvent::RuleCheckFinished {
-                outcome: RuleOutcome {
-                    rule_id: field(&fields, "rule")?.to_string(),
-                    fingerprint: field(&fields, "fp")?.to_string(),
-                    verified: field_u64(&fields, "verified")?,
-                    violated: field_u64(&fields, "violated")?,
-                    not_covered: field_u64(&fields, "not_covered")?,
-                    engine_errors: field_u64(&fields, "engine_errors")?,
-                    degraded: field(&fields, "degraded")? == "1",
-                    sanity_ok: field(&fields, "sanity_ok")? == "1",
-                    retries: field_u64(&fields, "retries")?,
-                },
-            }),
+            "check-finished" => {
+                Ok(GateEvent::RuleCheckFinished { outcome: decode_outcome(&fields)? })
+            }
             "run-finished" => {
                 Ok(GateEvent::RunFinished { decision: field(&fields, "decision")?.to_string() })
             }
             other => Err(format!("unknown event kind {other:?}")),
         }
     }
+}
+
+/// Encode `head` followed by the outcome's fields — the one layout both
+/// the journal's `check-finished` record and the fingerprint file use.
+pub(crate) fn encode_outcome(head: (&str, &str), o: &RuleOutcome) -> Vec<u8> {
+    let flag = |b: bool| if b { "1" } else { "0" };
+    encode(&[
+        head,
+        ("rule", &o.rule_id),
+        ("fp", &o.fingerprint),
+        ("verified", &o.verified.to_string()),
+        ("violated", &o.violated.to_string()),
+        ("not_covered", &o.not_covered.to_string()),
+        ("engine_errors", &o.engine_errors.to_string()),
+        ("degraded", flag(o.degraded)),
+        ("sanity_ok", flag(o.sanity_ok)),
+        ("retries", &o.retries.to_string()),
+    ])
+}
+
+/// Read back the outcome fields [`encode_outcome`] wrote.
+pub(crate) fn decode_outcome(fields: &[(String, String)]) -> Result<RuleOutcome, String> {
+    Ok(RuleOutcome {
+        rule_id: field(fields, "rule")?.to_string(),
+        fingerprint: field(fields, "fp")?.to_string(),
+        verified: field_u64(fields, "verified")?,
+        violated: field_u64(fields, "violated")?,
+        not_covered: field_u64(fields, "not_covered")?,
+        engine_errors: field_u64(fields, "engine_errors")?,
+        degraded: field(fields, "degraded")? == "1",
+        sanity_ok: field(fields, "sanity_ok")? == "1",
+        retries: field_u64(fields, "retries")?,
+    })
 }
 
 #[cfg(test)]

@@ -18,8 +18,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{decode, encode, field, field_u64};
-use crate::event::RuleOutcome;
+use crate::codec::{decode, field};
+use crate::event::{decode_outcome, encode_outcome, RuleOutcome};
 use crate::journal::{read_atomic, write_atomic};
 
 /// On-disk file name, beside `wal.log` in the run's state directory.
@@ -92,19 +92,7 @@ impl FingerprintFile {
 }
 
 fn encode_entry(fp: &RuleFingerprint) -> Vec<u8> {
-    let o = &fp.outcome;
-    encode(&[
-        ("dep", &format!("{:016x}", fp.dep_hash)),
-        ("rule", &o.rule_id),
-        ("fp", &o.fingerprint),
-        ("verified", &o.verified.to_string()),
-        ("violated", &o.violated.to_string()),
-        ("not_covered", &o.not_covered.to_string()),
-        ("engine_errors", &o.engine_errors.to_string()),
-        ("degraded", if o.degraded { "1" } else { "0" }),
-        ("sanity_ok", if o.sanity_ok { "1" } else { "0" }),
-        ("retries", &o.retries.to_string()),
-    ])
+    encode_outcome(("dep", &format!("{:016x}", fp.dep_hash)), &fp.outcome)
 }
 
 fn decode_entry(payload: &[u8]) -> Result<(u64, RuleFingerprint), String> {
@@ -112,17 +100,7 @@ fn decode_entry(payload: &[u8]) -> Result<(u64, RuleFingerprint), String> {
     let dep = field(&fields, "dep")?;
     let dep_hash =
         u64::from_str_radix(dep, 16).map_err(|_| format!("bad dep hash {dep:?}"))?;
-    let outcome = RuleOutcome {
-        rule_id: field(&fields, "rule")?.to_string(),
-        fingerprint: field(&fields, "fp")?.to_string(),
-        verified: field_u64(&fields, "verified")?,
-        violated: field_u64(&fields, "violated")?,
-        not_covered: field_u64(&fields, "not_covered")?,
-        engine_errors: field_u64(&fields, "engine_errors")?,
-        degraded: field(&fields, "degraded")? == "1",
-        sanity_ok: field(&fields, "sanity_ok")? == "1",
-        retries: field_u64(&fields, "retries")?,
-    };
+    let outcome = decode_outcome(&fields)?;
     Ok((dep_hash, RuleFingerprint { dep_hash, outcome }))
 }
 

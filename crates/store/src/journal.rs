@@ -22,23 +22,14 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use lisa_util::fnv1a;
+
 /// Frame header size: u32 length + u64 checksum.
 pub const FRAME_HEADER: usize = 12;
 
 /// Upper bound on one record; a length field above this is corruption,
 /// not a real record.
 pub const MAX_RECORD: u32 = 16 * 1024 * 1024;
-
-/// FNV-1a over a byte slice — the journal's checksum. Not cryptographic;
-/// it detects the torn writes and bit flips the fault model cares about.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// A fault to apply at one I/O operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -36,13 +36,16 @@
 //! guessing where the next frame starts.
 
 use std::collections::VecDeque;
+use std::fmt;
 use std::fs::OpenOptions;
 use std::io::{self, Write};
 use std::path::{Component, Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::journal::{fnv1a, frame, write_file_atomic, FRAME_HEADER, MAX_RECORD};
+use lisa_util::fnv1a;
+
+use crate::journal::{frame, write_file_atomic, FRAME_HEADER, MAX_RECORD};
 
 /// Replication protocol version, agreed in the NDJSON handshake before
 /// any binary frame flows.
@@ -298,7 +301,7 @@ pub enum StreamFault {
 
 /// Injection hooks at the follower's receive seam. The default injects
 /// nothing.
-pub trait StreamFaults: Send + Sync {
+pub trait StreamFaults: fmt::Debug + Send + Sync {
     /// Consulted once per received chunk of `len` bytes.
     fn on_chunk(&self, _len: usize) -> Option<StreamFault> {
         None

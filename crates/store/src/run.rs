@@ -110,6 +110,30 @@ impl RunState {
         let scanned = scan(payload);
         RunState::replay(scanned.records.iter().map(|r| r.as_slice()))
     }
+
+    /// The recovery read: the snapshot in `dir`, then `journal` records
+    /// replayed on top. An absent or corrupt snapshot reads as empty.
+    pub fn recover<'a>(dir: &Path, journal: impl IntoIterator<Item = &'a [u8]>) -> RunState {
+        let mut state = match read_atomic(&dir.join(RunStore::SNAPSHOT)) {
+            Some(payload) => RunState::from_snapshot(&payload),
+            None => RunState::default(),
+        };
+        for record in journal {
+            if let Ok(event) = GateEvent::decode(record) {
+                state.apply(&event);
+            }
+        }
+        state
+    }
+
+    /// [`RunState::recover`] without opening the journal for writing: no
+    /// truncation, no quarantine, so it is safe on a directory another
+    /// process is still writing or mirroring. Torn or corrupt records are
+    /// simply not counted.
+    pub fn read(dir: &Path) -> RunState {
+        let bytes = std::fs::read(dir.join(RunStore::JOURNAL)).unwrap_or_default();
+        RunState::recover(dir, scan(&bytes).records.iter().map(Vec::as_slice))
+    }
 }
 
 /// Durable store for one gate run: a write-ahead journal plus an atomic
@@ -158,19 +182,8 @@ impl RunStore {
     ) -> Result<RunStore, StoreError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let snap_path = dir.join(Self::SNAPSHOT);
-        let wal_path = dir.join(Self::JOURNAL);
-
-        let mut state = match read_atomic(&snap_path) {
-            Some(payload) => RunState::from_snapshot(&payload),
-            None => RunState::default(),
-        };
-        let (journal, report) = Journal::open(&wal_path, faults.clone())?;
-        for record in &report.records {
-            if let Ok(event) = GateEvent::decode(record) {
-                state.apply(&event);
-            }
-        }
+        let (journal, report) = Journal::open(dir.join(Self::JOURNAL), faults)?;
+        let state = RunState::recover(&dir, report.records.iter().map(Vec::as_slice));
         let mut store = RunStore {
             dir,
             journal,

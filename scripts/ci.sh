@@ -26,6 +26,27 @@ done)"
     || { echo "theory::check( must have one non-test call site in crates/smt/src, found: ${THEORY_CALLS:-none}"; exit 1; }
 echo "refinement loop check: ok ($THEORY_CALLS)"
 
+# Service modules depend one way: only `supervisor` imports the other
+# five, and none of them names it or its `Shared` state; the three data
+# modules (load, durable, stats) never touch the network loop. The
+# fail-closed decision rule (`engine_errors ... Closed`) has exactly one
+# non-test line in crates/core/src: `GateDecision::decide`.
+SERVICE=crates/core/src/service
+for m in load durable stats repl_leader follower; do
+    ! grep -nE 'supervisor|Shared' "$SERVICE/$m.rs" \
+        || { echo "service/$m.rs must not depend on the supervisor"; exit 1; }
+done
+for m in load durable stats; do
+    ! grep -n 'netloop' "$SERVICE/$m.rs" \
+        || { echo "service/$m.rs must not use netloop"; exit 1; }
+done
+DECISIONS="$(find crates/core/src -name '*.rs' ! -name tests.rs | sort | while read -r f; do
+    awk '/#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// && /engine_errors.*Closed/ { print FILENAME ":" FNR }' "$f"
+done)"
+[ "$(printf '%s' "$DECISIONS" | grep -c .)" -eq 1 ] \
+    || { echo "engine_errors.*Closed must match one non-test line in crates/core/src, found: ${DECISIONS:-none}"; exit 1; }
+echo "service layering check: ok (fail-closed rule at $DECISIONS)"
+
 # No call sites may depend on deprecated APIs: the old free-function
 # entry points are gone, and nothing new may rot behind a deprecation
 # warning either.
