@@ -63,7 +63,7 @@ impl TraceCache {
             h.part(t.name.as_bytes());
             h.part(t.entry.as_bytes());
         }
-        h.part(target.to_string().as_bytes());
+        h.part_display(target);
         // AliasMap iterates in hash order, which differs between
         // instances; sort for a content-stable key.
         let mut entries: Vec<_> = aliases.iter().collect();

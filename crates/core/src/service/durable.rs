@@ -14,6 +14,7 @@
 //! lines.
 
 use std::collections::{BTreeMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use lisa_concolic::SystemVersion;
 use lisa_oracle::SemanticRule;
 use lisa_store::repl::ReplBus;
 use lisa_store::{FingerprintFile, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
-use lisa_util::fnv1a;
+use lisa_util::{fnv1a, Fnv1a};
 
 use crate::enforce::{enforce_impl, GateDecision, GateOptions, RuleRegistry};
 use crate::gate::GateCache;
@@ -34,23 +35,28 @@ use crate::verdict::RuleReport;
 /// journal — different program text, tests, or rules — must never donate
 /// verdicts to a run it does not describe.
 pub fn run_key(version: &SystemVersion, rules: &[SemanticRule]) -> String {
-    let mut text = String::new();
-    text.push_str(&version.label);
-    text.push('\n');
-    for f in version.program.functions() {
-        text.push_str(&lisa_lang::pretty::print_fn(f));
-    }
-    for t in &version.tests {
-        text.push_str(&t.name);
-        text.push('\n');
-    }
-    for r in rules {
-        text.push_str(&format!(
-            "{}\u{1f}{}\u{1f}{}\u{1f}{}\n",
-            r.id, r.description, r.target, r.condition_src
-        ));
-    }
-    format!("{}-{:016x}", version.label, fnv1a(text.as_bytes()))
+    // One unseparated text stream, hashed as it is written: the label,
+    // every function's canonical text, test names and rule fields.
+    let mut h = Fnv1a::new();
+    let stream = |h: &mut Fnv1a| -> fmt::Result {
+        writeln!(h, "{}", version.label)?;
+        for f in version.program.functions() {
+            lisa_lang::pretty::write_fn(f, h)?;
+        }
+        for t in &version.tests {
+            writeln!(h, "{}", t.name)?;
+        }
+        for r in rules {
+            writeln!(
+                h,
+                "{}\u{1f}{}\u{1f}{}\u{1f}{}",
+                r.id, r.description, r.target, r.condition_src
+            )?;
+        }
+        Ok(())
+    };
+    stream(&mut h).expect("hashing text cannot fail");
+    format!("{}-{:016x}", version.label, h.finish())
 }
 
 /// Canonical verdict fingerprint for one rule report: chain verdicts and
@@ -123,7 +129,7 @@ struct DepHasher {
 impl DepHasher {
     fn new(version: &SystemVersion, config: &PipelineConfig, gate: &GateOptions) -> DepHasher {
         let graph = CallGraph::build(&version.program);
-        let mut base = lisa_util::Fnv1a::new();
+        let mut base = Fnv1a::new();
         base.part_u64(lisa_lang::fingerprint_decls(&version.program));
         for t in &version.tests {
             base.part(t.name.as_bytes());
@@ -132,8 +138,8 @@ impl DepHasher {
         }
         // Debug formatting is stable for a given binary; a format change
         // across releases costs one re-check, never a wrong reuse.
-        base.part(format!("{config:?}").as_bytes());
-        base.part(format!("{:?}", gate.retry).as_bytes());
+        base.part_with(|h| write!(h, "{config:?}"));
+        base.part_with(|h| write!(h, "{:?}", gate.retry));
 
         DepHasher {
             graph,
@@ -175,11 +181,11 @@ impl DepHasher {
                 }
             }
         }
-        let mut h = lisa_util::Fnv1a::new();
+        let mut h = Fnv1a::new();
         h.part_u64(self.base);
         h.part(rule.id.as_bytes());
         h.part(rule.description.as_bytes());
-        h.part(rule.target.to_string().as_bytes());
+        h.part_display(&rule.target);
         h.part(rule.condition_src.as_bytes());
         // Relevant functions in program order, names + fingerprints:
         // relative order matters (it fixes chain and site enumeration

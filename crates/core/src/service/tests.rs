@@ -86,6 +86,17 @@ fn run_key_separates_versions_and_rule_sets() {
 }
 
 #[test]
+fn run_key_is_pinned_on_corpus_versions() {
+    // Run keys name journals on disk; a change here orphans every
+    // existing state dir, so it must be deliberate.
+    let reg = registry();
+    let case = &lisa_corpus::all_cases()[0];
+    let keys =
+        [run_key(&case.versions.buggy, reg.rules()), run_key(&case.versions.fixed, reg.rules())];
+    assert_eq!(keys, ["v1-buggy-318c02174dd63720", "v2-fixed-18622112e10b4953"]);
+}
+
+#[test]
 fn durable_run_resumes_and_reuses_verdicts() {
     let dir = tmpdir("resume");
     let reg = registry();

@@ -152,3 +152,35 @@ fn test_summaries_are_informative() {
         }
     }
 }
+
+/// Byte-identity pin for canonical text and every fingerprint over the
+/// whole corpus. Fingerprints are persisted (`fingerprints.log`, journal
+/// run keys), so any change to the printer or the hashing that moves a
+/// single byte must show up here rather than silently orphan state dirs.
+#[test]
+fn canonical_text_and_fingerprints_are_pinned() {
+    use lisa_lang::pretty::print_fn;
+    use lisa_lang::{fingerprint_decls, fingerprint_program, fn_fingerprints};
+
+    let mut h = lisa_util::Fnv1a::new();
+    let mut versions = 0;
+    for case in all_cases() {
+        for v in case.versions.all() {
+            versions += 1;
+            h.part(case.meta.id.as_bytes()).part(v.label.as_bytes());
+            h.part_u64(fingerprint_program(&v.program));
+            h.part_u64(fingerprint_decls(&v.program));
+            for (name, fp) in fn_fingerprints(&v.program) {
+                h.part(name.as_bytes()).part_u64(fp);
+            }
+            for module in &v.program.modules {
+                h.part(print_module(module).as_bytes());
+            }
+            for f in v.program.functions() {
+                h.part(print_fn(f).as_bytes());
+            }
+        }
+    }
+    assert_eq!(versions, 64);
+    assert_eq!(h.finish(), 0xb035_bd79_3f56_7e6a, "digest {:016x}", h.finish());
+}

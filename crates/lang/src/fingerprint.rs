@@ -7,20 +7,21 @@
 //! *canonical pretty-printed* form, the same fixed point the parser
 //! property tests pin, so they are insensitive to spans, statement ids,
 //! and original formatting, but change whenever any semantics-bearing
-//! text changes.
+//! text changes. The printer streams that text straight into the hasher;
+//! it is never built as a `String`.
 
 use std::collections::BTreeMap;
 
 use lisa_util::Fnv1a;
 
 use crate::ast::FnDecl;
-use crate::pretty::{print_fn, print_struct};
+use crate::pretty::{write_fn, write_struct};
 use crate::program::Program;
 
 /// Fingerprint one function body (canonical form).
 pub fn fingerprint_fn(f: &FnDecl) -> u64 {
     let mut h = Fnv1a::new();
-    h.part(print_fn(f).as_bytes());
+    h.part_with(|h| write_fn(f, h));
     h.finish()
 }
 
@@ -30,11 +31,11 @@ pub fn fingerprint_fn(f: &FnDecl) -> u64 {
 pub fn fingerprint_decls(p: &Program) -> u64 {
     let mut h = Fnv1a::new();
     for s in p.structs() {
-        h.part(print_struct(s).as_bytes());
+        h.part_with(|h| write_struct(s, h));
     }
     for g in p.globals() {
         h.part(g.name.as_bytes());
-        h.part(g.ty.to_string().as_bytes());
+        h.part_display(&g.ty);
     }
     h.finish()
 }

@@ -277,7 +277,10 @@ impl<'p> Interp<'p> {
         span: Span,
         caller: &str,
     ) -> Result<Value, RuntimeError> {
-        let Some(decl) = self.program.function(fn_name) else {
+        // Borrow the declaration from the program, not from `self`, so the
+        // body can run against `&mut self` without copying the AST.
+        let program: &'p Program = self.program;
+        let Some(decl) = program.function(fn_name) else {
             return Err(RuntimeError {
                 kind: ErrorKind::UnknownFunction { name: fn_name.to_string() },
                 function: caller.to_string(),
@@ -307,8 +310,7 @@ impl<'p> Interp<'p> {
         for ((pname, _), v) in decl.params.iter().zip(args) {
             env.insert(pname.clone(), v);
         }
-        let decl = decl.clone();
-        let out = self.exec_block(&decl.body, &mut env, &decl, tracer, depth)?;
+        let out = self.exec_block(&decl.body, &mut env, decl, tracer, depth)?;
         tracer.on_return(fn_name, depth);
         Ok(match out {
             Flow::Return(v) => v,
@@ -754,13 +756,12 @@ impl<'p> Interp<'p> {
                     vals.push(self.eval(a, env, f, tracer, depth)?);
                 }
                 if crate::types::builtin_signature(name).is_some() {
-                    let locks = self.locks.clone();
                     tracer.on_builtin(&BuiltinEvent {
                         function: &f.name,
                         name,
                         args: &vals,
                         span: e.span,
-                        locks: &locks,
+                        locks: &self.locks,
                         depth,
                     });
                     return self.eval_builtin(name, vals, f, e.span);
@@ -768,10 +769,9 @@ impl<'p> Interp<'p> {
                 // User call: emit arg paths for the varmap layer.
                 let arg_paths: Vec<Option<String>> =
                     args.iter().map(crate::symbolic::expr_path).collect();
-                let callee = name.clone();
                 // Re-emit a call event with paths (the generic one in
                 // call_at_depth lacks them), then invoke.
-                self.call_with_paths(&callee, vals, arg_paths, tracer, depth + 1, Some(e), f)
+                self.call_with_paths(name, vals, arg_paths, tracer, depth + 1, Some(e), f)
             }
             ExprKind::MethodCall(recv, method, args) => {
                 let r = self.eval(recv, env, f, tracer, depth)?;
@@ -782,17 +782,17 @@ impl<'p> Interp<'p> {
                 self.eval_method(r, method, vals, f, e.span)
             }
             ExprKind::New(name, fields) => {
-                let Some(decl) = self.program.struct_decl(name) else {
+                let program: &'p Program = self.program;
+                let Some(decl) = program.struct_decl(name) else {
                     return Err(self.err(
                         ErrorKind::TypeMismatch { expected: "struct type", found: name.clone() },
                         f,
                         e.span,
                     ));
                 };
-                let decl_fields = decl.fields.clone();
                 let mut map = BTreeMap::new();
                 // Defaults first, then explicit initializers.
-                for (fname, fty) in &decl_fields {
+                for (fname, fty) in &decl.fields {
                     let v = match fty {
                         Type::Int => Value::Int(0),
                         Type::Bool => Value::Bool(false),
@@ -830,7 +830,8 @@ impl<'p> Interp<'p> {
         caller: &FnDecl,
     ) -> Result<Value, RuntimeError> {
         let span = call_expr.map(|e| e.span).unwrap_or_default();
-        let Some(decl) = self.program.function(callee) else {
+        let program: &'p Program = self.program;
+        let Some(decl) = program.function(callee) else {
             return Err(self.err(
                 ErrorKind::UnknownFunction { name: callee.to_string() },
                 caller,
@@ -851,12 +852,11 @@ impl<'p> Interp<'p> {
             arg_paths: &arg_paths,
             depth,
         });
-        let decl = decl.clone();
         let mut env: HashMap<String, Value> = HashMap::new();
         for ((pname, _), v) in decl.params.iter().zip(args) {
             env.insert(pname.clone(), v);
         }
-        let out = self.exec_block(&decl.body, &mut env, &decl, tracer, depth)?;
+        let out = self.exec_block(&decl.body, &mut env, decl, tracer, depth)?;
         tracer.on_return(callee, depth);
         Ok(match out {
             Flow::Return(v) => v,
@@ -1055,11 +1055,11 @@ impl<'p> Interp<'p> {
                 ))
             }
         };
-        match self.heap.get(r).clone() {
+        match self.heap.get(r) {
             HeapObj::Map { .. } => self.eval_map_method(r, method, args, f, span),
             HeapObj::List { .. } => self.eval_list_method(r, method, args, f, span),
             HeapObj::Struct { ty, .. } => Err(self.err(
-                ErrorKind::TypeMismatch { expected: "collection", found: ty },
+                ErrorKind::TypeMismatch { expected: "collection", found: ty.clone() },
                 f,
                 span,
             )),
@@ -1500,5 +1500,65 @@ mod tests {
         )
         .expect("run");
         assert_eq!(v, Value::Bool(true));
+    }
+
+    #[test]
+    fn recursion_runs_and_unbounded_recursion_overflows_at_max_depth() {
+        let p = Program::parse_single(
+            "t",
+            "fn fib(n: int) -> int { if (n < 2) { return n; } return fib(n - 1) + fib(n - 2); }\n\
+             fn down(n: int) -> int { return down(n + 1); }",
+        )
+        .expect("parse");
+        assert!(crate::types::check_program(&p).is_empty());
+        let mut interp = Interp::new(&p);
+        let v = interp.call("fib", vec![Value::Int(10)], &mut NullTracer).expect("fib");
+        assert_eq!(v, Value::Int(55));
+        assert_eq!(interp.stats.calls, 177, "fib(10) makes 177 calls");
+
+        let config = RunConfig { max_depth: 12, ..RunConfig::default() };
+        let mut interp = Interp::with_config(&p, config);
+        let err = interp.call("down", vec![Value::Int(0)], &mut NullTracer).expect_err("overflow");
+        assert_eq!(err.kind, ErrorKind::StackOverflow);
+        assert_eq!(err.function, "down");
+        assert_eq!(interp.stats.max_depth_seen, 11);
+        assert_eq!(interp.stats.calls, 12);
+    }
+
+    #[test]
+    fn collection_method_on_a_struct_names_the_struct_type() {
+        // Ill-typed on purpose (no `check_program`): the interpreter must
+        // still answer with a structured error naming the struct.
+        let p = Program::parse_single(
+            "t",
+            "struct Session { id: int }\n\
+             fn f() -> int { let s = new Session { id: 1 }; return s.get(1); }",
+        )
+        .expect("parse");
+        let mut interp = Interp::new(&p);
+        let err = interp.call("f", vec![], &mut NullTracer).expect_err("mismatch");
+        assert_eq!(
+            err.kind,
+            ErrorKind::TypeMismatch { expected: "collection", found: "Session".to_string() }
+        );
+        assert_eq!(err.function, "f");
+    }
+
+    #[test]
+    fn a_callee_map_put_is_visible_to_the_caller() {
+        let v = run(
+            "global seen: map<int, int>;\n\
+             fn record(m: map<int, int>, k: int) { m.put(k, k * 2); }\n\
+             fn f() -> int {\n\
+                 let local: map<int, int> = seen;\n\
+                 record(local, 3);\n\
+                 record(seen, 4);\n\
+                 return local.get(3) + seen.get(4) + seen.size();\n\
+             }",
+            "f",
+            vec![],
+        )
+        .expect("run");
+        assert_eq!(v, Value::Int(6 + 8 + 2));
     }
 }

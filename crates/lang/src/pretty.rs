@@ -5,139 +5,193 @@
 //! parser: `parse(print(ast))` equals `ast` up to spans and statement
 //! ids. Corpus tooling uses it to render patched modules and the oracle
 //! uses it in diagnostics.
+//!
+//! The canonical text is produced by the `write_*` writers, generic over
+//! any [`fmt::Write`] sink. The `print_*` functions collect it into a
+//! `String`; fingerprints and cache keys stream it straight into a
+//! [`lisa_util::Fnv1a`] hasher instead, so hashing a program never
+//! materialises its text.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::ast::*;
 
 /// Render a whole module.
 pub fn print_module(m: &Module) -> String {
-    let mut out = String::new();
-    for s in &m.structs {
-        out.push_str(&print_struct(s));
-        out.push('\n');
-    }
-    for g in &m.globals {
-        let _ = writeln!(out, "global {}: {};", g.name, g.ty);
-    }
-    if !m.globals.is_empty() {
-        out.push('\n');
-    }
-    for (i, f) in m.functions.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&print_fn(f));
-    }
-    out
+    render(|out| write_module(m, out))
 }
 
 /// Render a struct declaration.
 pub fn print_struct(s: &StructDecl) -> String {
-    let fields: Vec<String> = s.fields.iter().map(|(n, t)| format!("{n}: {t}")).collect();
-    format!("struct {} {{ {} }}\n", s.name, fields.join(", "))
+    render(|out| write_struct(s, out))
 }
 
 /// Render a function declaration.
 pub fn print_fn(f: &FnDecl) -> String {
-    let params: Vec<String> = f.params.iter().map(|(n, t)| format!("{n}: {t}")).collect();
-    let ret = if f.ret == Type::Unit { String::new() } else { format!(" -> {}", f.ret) };
-    let mut out = format!("fn {}({}){} {{\n", f.name, params.join(", "), ret);
-    for s in &f.body {
-        print_stmt(s, 1, &mut out);
-    }
-    out.push_str("}\n");
+    render(|out| write_fn(f, out))
+}
+
+/// Render an expression with minimal parentheses.
+pub fn print_expr(e: &Expr) -> String {
+    render(|out| write_expr(e, out))
+}
+
+fn render(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    write(&mut out).expect("writing to a String cannot fail");
     out
 }
 
-fn indent(depth: usize, out: &mut String) {
+fn write_module<W: Write>(m: &Module, out: &mut W) -> fmt::Result {
+    for s in &m.structs {
+        write_struct(s, out)?;
+        out.write_char('\n')?;
+    }
+    for g in &m.globals {
+        writeln!(out, "global {}: {};", g.name, g.ty)?;
+    }
+    if !m.globals.is_empty() {
+        out.write_char('\n')?;
+    }
+    for (i, f) in m.functions.iter().enumerate() {
+        if i > 0 {
+            out.write_char('\n')?;
+        }
+        write_fn(f, out)?;
+    }
+    Ok(())
+}
+
+/// Write `items` separated by `", "`.
+fn comma_sep<W: Write, T>(
+    items: &[T],
+    out: &mut W,
+    mut each: impl FnMut(&T, &mut W) -> fmt::Result,
+) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.write_str(", ")?;
+        }
+        each(item, out)?;
+    }
+    Ok(())
+}
+
+/// Write a struct declaration (the text of [`print_struct`]).
+pub(crate) fn write_struct<W: Write>(s: &StructDecl, out: &mut W) -> fmt::Result {
+    write!(out, "struct {} {{ ", s.name)?;
+    comma_sep(&s.fields, out, |(n, t), out| write!(out, "{n}: {t}"))?;
+    out.write_str(" }\n")
+}
+
+/// Write a function declaration (the text of [`print_fn`]).
+pub fn write_fn<W: Write>(f: &FnDecl, out: &mut W) -> fmt::Result {
+    write!(out, "fn {}(", f.name)?;
+    comma_sep(&f.params, out, |(n, t), out| write!(out, "{n}: {t}"))?;
+    out.write_char(')')?;
+    if f.ret != Type::Unit {
+        write!(out, " -> {}", f.ret)?;
+    }
+    out.write_str(" {\n")?;
+    for s in &f.body {
+        write_stmt(s, 1, out)?;
+    }
+    out.write_str("}\n")
+}
+
+fn indent<W: Write>(depth: usize, out: &mut W) -> fmt::Result {
     for _ in 0..depth {
-        out.push_str("    ");
+        out.write_str("    ")?;
     }
+    Ok(())
 }
 
-fn print_block(body: &[Stmt], depth: usize, out: &mut String) {
-    out.push_str("{\n");
+fn write_block<W: Write>(body: &[Stmt], depth: usize, out: &mut W) -> fmt::Result {
+    out.write_str("{\n")?;
     for s in body {
-        print_stmt(s, depth + 1, out);
+        write_stmt(s, depth + 1, out)?;
     }
-    indent(depth, out);
-    out.push('}');
+    indent(depth, out)?;
+    out.write_char('}')
 }
 
-fn print_stmt(s: &Stmt, depth: usize, out: &mut String) {
-    indent(depth, out);
+fn write_stmt<W: Write>(s: &Stmt, depth: usize, out: &mut W) -> fmt::Result {
+    indent(depth, out)?;
     match &s.kind {
         StmtKind::Let { name, ty, init } => {
             match ty {
-                Some(t) => {
-                    let _ = write!(out, "let {name}: {t} = {};", print_expr(init));
-                }
-                None => {
-                    let _ = write!(out, "let {name} = {};", print_expr(init));
-                }
+                Some(t) => write!(out, "let {name}: {t} = ")?,
+                None => write!(out, "let {name} = ")?,
             }
-            out.push('\n');
+            write_expr(init, out)?;
+            out.write_str(";\n")
         }
         StmtKind::Assign { target, value } => {
-            let lhs = match target {
-                LValue::Var(v) => v.clone(),
-                LValue::Field(obj, field) => format!("{}.{field}", print_expr(obj)),
-            };
-            let _ = writeln!(out, "{lhs} = {};", print_expr(value));
+            match target {
+                LValue::Var(v) => out.write_str(v)?,
+                LValue::Field(obj, field) => {
+                    write_expr(obj, out)?;
+                    write!(out, ".{field}")?;
+                }
+            }
+            out.write_str(" = ")?;
+            write_expr(value, out)?;
+            out.write_str(";\n")
         }
         StmtKind::If { cond, then_body, else_body } => {
-            let _ = write!(out, "if ({}) ", print_expr(cond));
-            print_block(then_body, depth, out);
+            out.write_str("if (")?;
+            write_expr(cond, out)?;
+            out.write_str(") ")?;
+            write_block(then_body, depth, out)?;
             if !else_body.is_empty() {
-                out.push_str(" else ");
+                out.write_str(" else ")?;
                 // `else if` chains render flat.
                 if else_body.len() == 1 {
                     if let StmtKind::If { .. } = &else_body[0].kind {
-                        let mut nested = String::new();
-                        print_stmt(&else_body[0], 0, &mut nested);
-                        out.push_str(nested.trim_start());
-                        return;
+                        return write_stmt(&else_body[0], 0, out);
                     }
                 }
-                print_block(else_body, depth, out);
+                write_block(else_body, depth, out)?;
             }
-            out.push('\n');
+            out.write_char('\n')
         }
         StmtKind::While { cond, body } => {
-            let _ = write!(out, "while ({}) ", print_expr(cond));
-            print_block(body, depth, out);
-            out.push('\n');
+            out.write_str("while (")?;
+            write_expr(cond, out)?;
+            out.write_str(") ")?;
+            write_block(body, depth, out)?;
+            out.write_char('\n')
         }
         StmtKind::For { var, iter, body } => {
-            let _ = write!(out, "for {var} in {} ", print_expr(iter));
-            print_block(body, depth, out);
-            out.push('\n');
+            write!(out, "for {var} in ")?;
+            write_expr(iter, out)?;
+            out.write_char(' ')?;
+            write_block(body, depth, out)?;
+            out.write_char('\n')
         }
-        StmtKind::Return(None) => out.push_str("return;\n"),
+        StmtKind::Return(None) => out.write_str("return;\n"),
         StmtKind::Return(Some(e)) => {
-            let _ = writeln!(out, "return {};", print_expr(e));
+            out.write_str("return ")?;
+            write_expr(e, out)?;
+            out.write_str(";\n")
         }
         StmtKind::Assert { cond, message } => {
+            out.write_str("assert(")?;
+            write_expr(cond, out)?;
             match message {
-                Some(m) => {
-                    let _ = writeln!(out, "assert({}, {m:?});", print_expr(cond));
-                }
-                None => {
-                    let _ = writeln!(out, "assert({});", print_expr(cond));
-                }
-            };
+                Some(m) => writeln!(out, ", {m:?});"),
+                None => out.write_str(");\n"),
+            }
         }
         StmtKind::Sync { lock, body } => {
-            let _ = write!(out, "sync ({lock}) ");
-            print_block(body, depth, out);
-            out.push('\n');
+            write!(out, "sync ({lock}) ")?;
+            write_block(body, depth, out)?;
+            out.write_char('\n')
         }
-        StmtKind::Throw(m) => {
-            let _ = writeln!(out, "throw {m:?};");
-        }
+        StmtKind::Throw(m) => writeln!(out, "throw {m:?};"),
         StmtKind::Expr(e) => {
-            let _ = writeln!(out, "{};", print_expr(e));
+            write_expr(e, out)?;
+            out.write_str(";\n")
         }
     }
 }
@@ -158,57 +212,72 @@ fn prec(e: &Expr) -> u8 {
     }
 }
 
-/// Render an expression with minimal parentheses.
-pub fn print_expr(e: &Expr) -> String {
-    fn child(e: &Expr, parent: u8, right_assoc_guard: bool) -> String {
+/// Write an expression with minimal parentheses.
+fn write_expr<W: Write>(e: &Expr, out: &mut W) -> fmt::Result {
+    fn child<W: Write>(e: &Expr, parent: u8, right_assoc_guard: bool, out: &mut W) -> fmt::Result {
         let p = prec(e);
-        let s = print_expr(e);
         if p < parent || (right_assoc_guard && p == parent) {
-            format!("({s})")
+            out.write_char('(')?;
+            write_expr(e, out)?;
+            out.write_char(')')
         } else {
-            s
+            write_expr(e, out)
         }
     }
     match &e.kind {
-        ExprKind::Int(v) => v.to_string(),
-        ExprKind::Bool(b) => b.to_string(),
-        ExprKind::Str(s) => format!("{s:?}"),
-        ExprKind::Null => "null".to_string(),
-        ExprKind::Var(v) => v.clone(),
-        ExprKind::Field(obj, field) => format!("{}.{field}", child(obj, 7, false)),
+        ExprKind::Int(v) => write!(out, "{v}"),
+        ExprKind::Bool(b) => write!(out, "{b}"),
+        ExprKind::Str(s) => write!(out, "{s:?}"),
+        ExprKind::Null => out.write_str("null"),
+        ExprKind::Var(v) => out.write_str(v),
+        ExprKind::Field(obj, field) => {
+            child(obj, 7, false, out)?;
+            write!(out, ".{field}")
+        }
         ExprKind::MethodCall(recv, name, args) => {
-            let args: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{}.{name}({})", child(recv, 7, false), args.join(", "))
+            child(recv, 7, false, out)?;
+            write!(out, ".{name}(")?;
+            comma_sep(args, out, write_expr)?;
+            out.write_char(')')
         }
         ExprKind::Call(name, args) => {
-            let args: Vec<String> = args.iter().map(print_expr).collect();
-            format!("{name}({})", args.join(", "))
+            write!(out, "{name}(")?;
+            comma_sep(args, out, write_expr)?;
+            out.write_char(')')
         }
         ExprKind::New(name, fields) => {
             if fields.is_empty() {
-                format!("new {name} {{ }}")
+                write!(out, "new {name} {{ }}")
             } else {
-                let fields: Vec<String> =
-                    fields.iter().map(|(n, v)| format!("{n}: {}", print_expr(v))).collect();
-                format!("new {name} {{ {} }}", fields.join(", "))
+                write!(out, "new {name} {{ ")?;
+                comma_sep(fields, out, |(n, v), out| {
+                    write!(out, "{n}: ")?;
+                    write_expr(v, out)
+                })?;
+                out.write_str(" }")
             }
         }
         ExprKind::Unary(op, inner) => {
-            let sigil = match op {
+            out.write_str(match op {
                 UnOp::Neg => "-",
                 UnOp::Not => "!",
-            };
-            format!("{sigil}{}", child(inner, 6, false))
+            })?;
+            child(inner, 6, false, out)
         }
         ExprKind::Binary(op, l, r) => {
             let p = prec(e);
             // Comparisons are non-associative in the grammar; arithmetic
             // and logical chains parse left-associative, so the right
             // child needs parens at equal precedence.
-            format!("{} {op} {}", child(l, p, false), child(r, p, true))
+            child(l, p, false, out)?;
+            write!(out, " {op} ")?;
+            child(r, p, true, out)
         }
         ExprKind::Index(list, idx) => {
-            format!("{}[{}]", child(list, 7, false), print_expr(idx))
+            child(list, 7, false, out)?;
+            out.write_char('[')?;
+            write_expr(idx, out)?;
+            out.write_char(']')
         }
     }
 }

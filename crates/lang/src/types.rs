@@ -76,11 +76,11 @@ pub fn check_program(program: &Program) -> Vec<TypeError> {
         // Struct field types must be well-formed.
         for s in &module.structs {
             for (fname, ty) in &s.fields {
-                ck.check_type_wf(ty, s.span, &format!("field `{}.{}`", s.name, fname));
+                ck.check_type_wf(ty, s.span, &|| format!("field `{}.{}`", s.name, fname));
             }
         }
         for g in &module.globals {
-            ck.check_type_wf(&g.ty, g.span, &format!("global `{}`", g.name));
+            ck.check_type_wf(&g.ty, g.span, &|| format!("global `{}`", g.name));
         }
         for f in &module.functions {
             ck.check_fn(f);
@@ -95,6 +95,15 @@ pub fn check_program_strict(program: &Program) -> Result<(), TypeError> {
         Some(e) => Err(e),
         None => Ok(()),
     }
+}
+
+/// Put back the binding a scoped name shadowed, or drop the name if it
+/// shadowed nothing.
+fn unshadow(env: &mut HashMap<String, Type>, name: &str, shadowed: Option<Type>) {
+    match shadowed {
+        Some(ty) => env.insert(name.to_string(), ty),
+        None => env.remove(name),
+    };
 }
 
 struct Checker<'a> {
@@ -114,15 +123,17 @@ impl<'a> Checker<'a> {
         });
     }
 
-    fn check_type_wf(&mut self, ty: &Type, span: Span, what: &str) {
+    /// `what` names the declaration in an error; it is rendered only when
+    /// one is reported.
+    fn check_type_wf(&mut self, ty: &Type, span: Span, what: &dyn Fn() -> String) {
         match ty {
             Type::Struct(name)
                 if self.program.struct_decl(name).is_none() => {
-                    self.error(span, format!("{what}: unknown struct type `{name}`"));
+                    self.error(span, format!("{}: unknown struct type `{name}`", what()));
                 }
             Type::Map(k, v) => {
                 if !matches!(**k, Type::Int | Type::Str | Type::Bool) {
-                    self.error(span, format!("{what}: map key type must be int/str/bool"));
+                    self.error(span, format!("{}: map key type must be int/str/bool", what()));
                 }
                 self.check_type_wf(v, span, what);
             }
@@ -134,7 +145,7 @@ impl<'a> Checker<'a> {
     fn check_fn(&mut self, f: &FnDecl) {
         let mut env: HashMap<String, Type> = HashMap::new();
         for (p, ty) in &f.params {
-            self.check_type_wf(ty, f.span, &format!("parameter `{p}` of `{}`", f.name));
+            self.check_type_wf(ty, f.span, &|| format!("parameter `{p}` of `{}`", f.name));
             env.insert(p.clone(), ty.clone());
         }
         let returned = self.check_block(&f.body, &mut env, f);
@@ -154,14 +165,21 @@ impl<'a> Checker<'a> {
         f: &FnDecl,
     ) -> bool {
         let mut returns = false;
-        let shadow: HashMap<String, Type> = env.clone();
+        // Lets are block-scoped, and a `let` is the only statement that
+        // leaves a binding behind (nested blocks restore their own): note
+        // what each one shadowed and undo them in reverse on exit.
+        let mut undo: Vec<(&str, Option<Type>)> = Vec::new();
         for s in stmts {
+            if let StmtKind::Let { name, .. } = &s.kind {
+                undo.push((name, env.get(name).cloned()));
+            }
             if self.check_stmt(s, env, f) {
                 returns = true;
             }
         }
-        // Restore scope (lets are block-scoped).
-        *env = shadow;
+        for (name, shadowed) in undo.into_iter().rev() {
+            unshadow(env, name, shadowed);
+        }
         returns
     }
 
@@ -267,10 +285,9 @@ impl<'a> Checker<'a> {
                         Type::Unit
                     }
                 };
-                let saved = env.clone();
-                env.insert(var.clone(), elem);
+                let shadowed = env.insert(var.clone(), elem);
                 self.check_block(body, env, f);
-                *env = saved;
+                unshadow(env, var, shadowed);
                 false
             }
             StmtKind::Return(value) => {

@@ -85,7 +85,7 @@ impl QueryCache {
     fn key(pi: &Term, checker: &Term, max_conflicts: Option<u64>) -> Key {
         let query = preprocess(&Term::and([pi.clone(), checker.clone().not()]));
         let mut h = Fnv1a::new();
-        h.part(query.to_string().as_bytes());
+        h.part_display(&query);
         (h.finish(), max_conflicts)
     }
 
@@ -214,6 +214,14 @@ mod tests {
         cache.violates_budgeted(&pi1, &checker, None);
         cache.violates_budgeted(&pi2, &checker, None);
         assert_eq!(cache.stats().hits, 1, "canonically-equal π should hit");
+    }
+
+    #[test]
+    fn query_key_is_pinned() {
+        // Keys are FNV-1a over the canonical formula text; a change to
+        // either would silently turn every warm entry into a miss.
+        let key = QueryCache::key(&t("x > 3 && y == true"), &t("x > 4 || y == false"), Some(500));
+        assert_eq!(key, (0x8162_1d95_f15e_0495, Some(500)), "key {:016x}", key.0);
     }
 
     #[test]

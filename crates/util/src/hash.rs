@@ -6,6 +6,8 @@
 //! stay comparable across processes and releases, so the definition
 //! lives here rather than being re-derived per crate.
 
+use std::fmt::{self, Write as _};
+
 /// 64-bit FNV-1a over a byte slice.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -50,12 +52,35 @@ impl Fnv1a {
         self
     }
 
+    /// Feed one delimited part written by `write`: the same bytes as
+    /// `part` over the text `write` would render, with no intermediate
+    /// `String`.
+    pub fn part_with(&mut self, write: impl FnOnce(&mut Fnv1a) -> fmt::Result) -> &mut Self {
+        write(self).expect("hashing text cannot fail");
+        self.update(&[0x1f])
+    }
+
+    /// Feed one delimited part: the `Display` text of `v`.
+    pub fn part_display(&mut self, v: &(impl fmt::Display + ?Sized)) -> &mut Self {
+        self.part_with(|h| write!(h, "{v}"))
+    }
+
     pub fn part_u64(&mut self, v: u64) -> &mut Self {
         self.part(&v.to_le_bytes())
     }
 
     pub fn finish(&self) -> u64 {
         self.state
+    }
+}
+
+/// Text written into the hasher is hashed as its UTF-8 bytes, so
+/// `write!(h, ..)` followed by `h.update(&[0x1f])` feeds exactly the bytes
+/// `h.part(rendered.as_bytes())` would, without materialising `rendered`.
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -78,6 +103,15 @@ mod tests {
         let mut b = Fnv1a::new();
         b.part(b"a").part(b"bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn written_text_hashes_like_its_bytes() {
+        let mut streamed = Fnv1a::new();
+        streamed.part_with(|h| write!(h, "{}-{:?}", 42, "x")).part_display("tail");
+        let mut rendered = Fnv1a::new();
+        rendered.part(format!("{}-{:?}", 42, "x").as_bytes()).part(b"tail");
+        assert_eq!(streamed.finish(), rendered.finish());
     }
 
     #[test]

@@ -26,6 +26,25 @@ done)"
     || { echo "theory::check( must have one non-test call site in crates/smt/src, found: ${THEORY_CALLS:-none}"; exit 1; }
 echo "refinement loop check: ok ($THEORY_CALLS)"
 
+# Hash sites stream canonical text into FNV-1a instead of rendering it
+# first, and the interpreter borrows the AST and heap instead of
+# copying them. Non-test code only (each file up to its `#[cfg(test)]`).
+no_pattern_outside_tests() { # <regex> <files...>
+    pattern="$1"; shift
+    for f in "$@"; do
+        awk -v pat="$pattern" '/#\[cfg\(test\)\]/ { exit } !/^[[:space:]]*\/\// && $0 ~ pat { print FILENAME ":" FNR ": " $0 }' "$f"
+    done
+}
+RENDER_TO_HASH="$(no_pattern_outside_tests '(^|[^[:alnum:]_])print_(fn|struct)\(|\.to_string\(\)\.as_bytes\(\)' \
+    crates/lang/src/fingerprint.rs crates/smt/src/cache.rs \
+    crates/concolic/src/cache.rs crates/core/src/service/durable.rs)"
+[ -z "$RENDER_TO_HASH" ] \
+    || { echo "hash sites must stream text into the hasher, not render it:"; echo "$RENDER_TO_HASH"; exit 1; }
+INTERP_COPIES="$(no_pattern_outside_tests '(^|[^[:alnum:]_])decl\.clone\(\)|heap\.get\(r\)\.clone\(\)' crates/lang/src/interp.rs)"
+[ -z "$INTERP_COPIES" ] \
+    || { echo "the interpreter must borrow declarations and heap objects:"; echo "$INTERP_COPIES"; exit 1; }
+echo "streamed hashing / borrowed interpreter check: ok"
+
 # Service modules depend one way: only `supervisor` imports the other
 # five, and none of them names it or its `Shared` state; the three data
 # modules (load, durable, stats) never touch the network loop. The
