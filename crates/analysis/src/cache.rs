@@ -10,11 +10,13 @@
 //! not.
 //!
 //! Artifacts are returned as `Arc` clones: rules running on parallel
-//! workers share one materialized graph/tree instead of cloning it. The
-//! maps are lock-striped ([`ShardedMap`]) so a wide worker pool does not
-//! serialize on one mutex, and builds are single-flight: two rules
-//! missing the same tree concurrently share one construction (the waiter
-//! counts a hit, not a duplicate miss).
+//! workers share one materialized graph/tree instead of cloning it. Both
+//! maps are the bounded, lock-striped, single-flight [`ShardedMap`] every
+//! gate cache tier uses: a wide worker pool does not serialize on one
+//! mutex, two rules missing the same tree concurrently share one
+//! construction (the waiter counts a hit, not a duplicate miss), and a
+//! long-lived cache evicts its least recently used artifacts instead of
+//! growing with every version it has seen.
 
 use std::sync::Arc;
 
@@ -23,12 +25,6 @@ use lisa_util::ShardedMap;
 use crate::callgraph::CallGraph;
 use crate::target::TargetSpec;
 use crate::tree::{ExecutionTree, TreeLimits};
-
-/// Lock shards per map. Cache keys hash uniformly (program fingerprints
-/// and rendered targets), so a modest stripe count already makes same-key
-/// collisions the only contention left — and those are the single-flight
-/// coalescing we *want*.
-const SHARDS: usize = 16;
 
 /// Thread-safe cache of call graphs and execution trees. Cheap to share
 /// behind an `Arc`; all methods take `&self`.
@@ -41,15 +37,14 @@ pub struct AnalysisCache {
 /// (program fingerprint, rendered target, limits, exclude-prefix).
 type TreeKey = (u64, String, usize, usize, String);
 
-impl Default for AnalysisCache {
-    fn default() -> AnalysisCache {
-        AnalysisCache::new()
-    }
-}
-
 impl AnalysisCache {
-    pub fn new() -> AnalysisCache {
-        AnalysisCache { graphs: ShardedMap::new(SHARDS), trees: ShardedMap::new(SHARDS) }
+    /// A cache holding at most `capacity` artifacts, split evenly between
+    /// call graphs and execution trees.
+    pub fn new(capacity: usize) -> AnalysisCache {
+        AnalysisCache {
+            graphs: ShardedMap::new(capacity / 2),
+            trees: ShardedMap::new(capacity / 2),
+        }
     }
 
     /// The call graph for the program fingerprinted `fp`, building it
@@ -77,15 +72,6 @@ impl AnalysisCache {
     pub fn stats(&self) -> lisa_util::CacheStats {
         self.graphs.stats().merge(self.trees.stats())
     }
-
-    /// Live entry count across both maps (for tests and introspection).
-    pub fn len(&self) -> usize {
-        self.graphs.len() + self.trees.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +94,7 @@ mod tests {
     #[test]
     fn callgraph_is_built_once_per_fingerprint() {
         let p = program();
-        let cache = AnalysisCache::new();
+        let cache = AnalysisCache::new(64);
         let mut builds = 0;
         for _ in 0..3 {
             let g = cache.callgraph(1, || {
@@ -129,7 +115,7 @@ mod tests {
     fn tree_key_includes_target_limits_and_prefix() {
         let p = program();
         let graph = CallGraph::build(&p);
-        let cache = AnalysisCache::new();
+        let cache = AnalysisCache::new(64);
         let target = TargetSpec::Call { callee: "act".into() };
         let build = |limits: TreeLimits, prefix: &str| {
             let prefix = prefix.to_string();
@@ -158,7 +144,7 @@ mod tests {
     #[test]
     fn lock_counters_track_lookups() {
         let p = program();
-        let cache = AnalysisCache::new();
+        let cache = AnalysisCache::new(64);
         cache.callgraph(1, || CallGraph::build(&p));
         cache.callgraph(1, || unreachable!());
         let stats = cache.stats();

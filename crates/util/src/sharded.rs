@@ -1,4 +1,4 @@
-//! Lock-striped, single-flight memoization maps.
+//! Bounded, lock-striped, single-flight memoization maps.
 //!
 //! The gate's caches started life as one `Mutex<HashMap>` each. That is
 //! correct but serializes every lookup once the enforcement engine runs
@@ -8,13 +8,22 @@
 //! entry hash), so concurrent lookups of different keys proceed in
 //! parallel.
 //!
-//! Two properties the callers rely on:
+//! Three properties the callers rely on:
 //!
+//! - **A hard bound.** A map never holds more than its capacity: each
+//!   shard holds at most `ceil(capacity / shards)` entries, and inserting
+//!   into a full shard evicts its least recently touched ready entry. A
+//!   long-lived cache therefore stops growing instead of accumulating
+//!   every version it has seen. A small map keeps a single stripe, so its
+//!   eviction order is exact global LRU; striping trades that global order
+//!   for concurrency, which changes *what* may be evicted but never what a
+//!   hit returns.
 //! - **Single-flight builds.** When two workers miss the same key at the
 //!   same time, exactly one runs the builder; the other waits and gets
 //!   the same `Arc` (and counts a hit — it paid a wait, not a build).
 //!   Without this, parallel rules sharing a target would duplicate the
-//!   most expensive work in the system and make hit counters racy.
+//!   most expensive work in the system and make hit counters racy. An
+//!   in-flight build is never evicted, so its waiters always get a value.
 //! - **Contention observability.** Every shard lock acquisition is
 //!   counted, and blocked acquisitions record their wait time, so
 //!   `cache.*` telemetry can report time lost to cache serialization.
@@ -26,43 +35,40 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::time::Instant;
 
+/// Entries per shard before another stripe is worth its overhead. A map
+/// smaller than this stays one stripe: exact global-LRU eviction order.
+const ENTRIES_PER_SHARD: usize = 256;
+
+/// Stripe count ceiling — past this, shard selection cost dominates any
+/// residual contention win.
+const MAX_SHARDS: usize = 16;
+
 /// Counters for one family of mutexes: total acquisitions, how many had
 /// to block, and the cumulative nanoseconds spent blocked.
 #[derive(Debug, Default)]
-pub struct LockStats {
+struct LockStats {
     acquires: AtomicU64,
     contended: AtomicU64,
     wait_ns: AtomicU64,
 }
 
 impl LockStats {
-    pub fn new() -> LockStats {
-        LockStats::default()
-    }
-
-    pub fn acquires(&self) -> u64 {
+    fn acquires(&self) -> u64 {
         self.acquires.load(Ordering::Relaxed)
     }
 
-    pub fn contended(&self) -> u64 {
+    fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
 
-    pub fn wait_ns(&self) -> u64 {
+    fn wait_ns(&self) -> u64 {
         self.wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Fold another family's counters into a combined view.
-    pub fn add_from(&self, other: &LockStats) {
-        self.acquires.fetch_add(other.acquires(), Ordering::Relaxed);
-        self.contended.fetch_add(other.contended(), Ordering::Relaxed);
-        self.wait_ns.fetch_add(other.wait_ns(), Ordering::Relaxed);
     }
 }
 
 /// Lock `m`, recording the acquisition in `stats`. The fast path is one
 /// `try_lock`; only a blocked acquisition pays for a clock read.
-pub fn lock_counted<'a, T>(m: &'a Mutex<T>, stats: &LockStats) -> MutexGuard<'a, T> {
+fn lock_counted<'a, T>(m: &'a Mutex<T>, stats: &LockStats) -> MutexGuard<'a, T> {
     stats.acquires.fetch_add(1, Ordering::Relaxed);
     match m.try_lock() {
         Ok(guard) => guard,
@@ -83,8 +89,8 @@ pub fn lock_counted<'a, T>(m: &'a Mutex<T>, stats: &LockStats) -> MutexGuard<'a,
 enum BuildState<V> {
     Pending,
     Done(Arc<V>),
-    /// The builder panicked (or its entry was evicted mid-build): waiters
-    /// retry from scratch instead of hanging forever.
+    /// The builder panicked: waiters retry from scratch instead of
+    /// hanging forever.
     Abandoned,
 }
 
@@ -96,36 +102,73 @@ struct InFlight<V> {
 
 #[derive(Debug)]
 enum Slot<V> {
-    Ready(Arc<V>),
+    /// A built value and the shard tick of its last touch.
+    Ready(Arc<V>, u64),
     Building(Arc<InFlight<V>>),
 }
 
-type Shard<K, V> = Mutex<HashMap<K, Slot<V>>>;
+#[derive(Debug)]
+struct Shard<K, V> {
+    slots: HashMap<K, Slot<V>>,
+    /// Bumped on every lookup and insert; the ready slot with the
+    /// smallest tick is the least recently used one.
+    tick: u64,
+}
 
-/// A lock-striped, single-flight `HashMap<K, Arc<V>>`.
+impl<K: Hash + Eq + Clone, V> Shard<K, V> {
+    fn touch(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// The least recently touched ready key, if any slot is ready. A shard
+    /// holds at most a few hundred slots, so a linear scan keeps this
+    /// std-only and cheap next to the build a miss pays for.
+    fn oldest_ready(&self) -> Option<K> {
+        self.slots
+            .iter()
+            .filter_map(|(k, slot)| match slot {
+                Slot::Ready(_, tick) => Some((*tick, k)),
+                Slot::Building(_) => None,
+            })
+            .min_by_key(|(tick, _)| *tick)
+            .map(|(_, k)| k.clone())
+    }
+}
+
+/// A bounded, lock-striped, single-flight `HashMap<K, Arc<V>>` with
+/// per-shard LRU eviction.
 #[derive(Debug)]
 pub struct ShardedMap<K, V> {
-    shards: Box<[Shard<K, V>]>,
+    shards: Box<[Mutex<Shard<K, V>>]>,
+    /// Most slots (ready + in-flight) one shard holds.
+    shard_capacity: usize,
     locks: LockStats,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
+    evictions: AtomicU64,
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
-    /// A map striped across `shards` locks (clamped to at least 1).
-    pub fn new(shards: usize) -> ShardedMap<K, V> {
-        let shards = shards.max(1);
+    /// A map holding at most `capacity` entries, striped across
+    /// `capacity / 256` locks (at least 1, at most 16).
+    pub fn new(capacity: usize) -> ShardedMap<K, V> {
+        let shards = (capacity / ENTRIES_PER_SHARD).clamp(1, MAX_SHARDS);
         ShardedMap {
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
-            locks: LockStats::new(),
+            shards: (0..shards)
+                .map(|_| Mutex::new(Shard { slots: HashMap::new(), tick: 0 }))
+                .collect(),
+            shard_capacity: capacity.div_ceil(shards),
+            locks: LockStats::default(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Slot<V>>> {
+    fn shard(&self, key: &K) -> &Mutex<Shard<K, V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() as usize) % self.shards.len()]
@@ -137,24 +180,39 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
     /// build instead of duplicating it). The builder runs outside every
     /// shard lock, and a panicking builder wakes its waiters to retry
     /// rather than stranding them.
+    ///
+    /// A miss on a full shard evicts the shard's least recently touched
+    /// ready entry. If every slot in the shard is an in-flight build,
+    /// nothing can be evicted: the value is built and returned but not
+    /// stored.
     pub fn get_or_build(&self, key: K, build: impl FnOnce() -> V) -> Arc<V> {
         loop {
             let inflight = {
                 let mut shard = lock_counted(self.shard(&key), &self.locks);
-                match shard.get(&key) {
-                    Some(Slot::Ready(v)) => {
+                let tick = shard.touch();
+                match shard.slots.get_mut(&key) {
+                    Some(Slot::Ready(v, last)) => {
+                        *last = tick;
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Arc::clone(v);
                     }
                     Some(Slot::Building(b)) => Arc::clone(b),
                     None => {
+                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        if shard.slots.len() >= self.shard_capacity {
+                            let Some(oldest) = shard.oldest_ready() else {
+                                drop(shard);
+                                return Arc::new(build());
+                            };
+                            shard.slots.remove(&oldest);
+                            self.evictions.fetch_add(1, Ordering::Relaxed);
+                        }
                         let b = Arc::new(InFlight {
                             state: Mutex::new(BuildState::Pending),
                             cv: Condvar::new(),
                         });
-                        shard.insert(key.clone(), Slot::Building(Arc::clone(&b)));
+                        shard.slots.insert(key.clone(), Slot::Building(Arc::clone(&b)));
                         drop(shard);
-                        self.misses.fetch_add(1, Ordering::Relaxed);
                         let guard = AbandonOnUnwind { map: self, key: &key, inflight: &b };
                         let value = Arc::new(build());
                         guard.complete(Arc::clone(&value));
@@ -185,67 +243,34 @@ impl<K: Hash + Eq + Clone, V> ShardedMap<K, V> {
         }
     }
 
-    /// Keep only entries whose key satisfies `f`. In-flight builds are
-    /// left alone; a build whose entry was removed still completes for
-    /// its requesters but is not re-inserted.
-    pub fn retain(&self, mut f: impl FnMut(&K) -> bool) {
-        for shard in self.shards.iter() {
-            let mut shard = lock_counted(shard, &self.locks);
-            shard.retain(|k, slot| matches!(slot, Slot::Building(_)) || f(k));
-        }
-    }
-
-    /// Live entries across all shards (ready + in-flight).
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_counted(s, &self.locks).len())
-            .sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that waited for another worker's in-flight build instead
-    /// of duplicating it (a subset of `hits`).
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    pub fn lock_stats(&self) -> &LockStats {
-        &self.locks
-    }
-
     /// The map's counters as one uniform [`CacheStats`] snapshot. Note
     /// `entries` takes every shard lock, so this is an introspection
     /// call, not a hot-path one.
+    ///
+    /// [`CacheStats`]: crate::CacheStats
     pub fn stats(&self) -> crate::CacheStats {
+        let entries: usize =
+            self.shards.iter().map(|s| lock_counted(s, &self.locks).slots.len()).sum();
         crate::CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            coalesced: self.coalesced(),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            coalesced: self.coalesced.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
             lock_acquires: self.locks.acquires(),
             lock_contended: self.locks.contended(),
             lock_wait_ns: self.locks.wait_ns(),
             shards: self.shards.len() as u64,
-            entries: self.len() as u64,
+            entries: entries as u64,
             ..Default::default()
         }
     }
 }
 
 /// Resolves an in-flight build on the way out: `complete` publishes the
-/// value; dropping without completing (builder panicked) marks the build
-/// abandoned and removes its placeholder so waiters retry.
+/// value; dropping without completing (builder panicked) removes the
+/// placeholder and marks the build abandoned so waiters retry. Either
+/// way the placeholder is still the builder's own: in-flight slots are
+/// never evicted, and only their builder removes them.
 struct AbandonOnUnwind<'a, K: Hash + Eq + Clone, V> {
     map: &'a ShardedMap<K, V>,
     key: &'a K,
@@ -255,37 +280,26 @@ struct AbandonOnUnwind<'a, K: Hash + Eq + Clone, V> {
 impl<K: Hash + Eq + Clone, V> AbandonOnUnwind<'_, K, V> {
     fn complete(self, value: Arc<V>) {
         {
-            let mut state =
-                self.inflight.state.lock().unwrap_or_else(|p| p.into_inner());
-            *state = BuildState::Done(Arc::clone(&value));
-            self.inflight.cv.notify_all();
-        }
-        let mut shard = lock_counted(self.map.shard(self.key), &self.map.locks);
-        // Only replace our own placeholder: a concurrent `retain` may
-        // have dropped it, in which case the value stays uncached.
-        if let Some(slot) = shard.get_mut(self.key) {
-            if matches!(slot, Slot::Building(b) if Arc::ptr_eq(b, self.inflight)) {
-                *slot = Slot::Ready(value);
+            let mut shard = lock_counted(self.map.shard(self.key), &self.map.locks);
+            let tick = shard.touch();
+            if let Some(slot) = shard.slots.get_mut(self.key) {
+                *slot = Slot::Ready(Arc::clone(&value), tick);
             }
         }
+        let mut state = self.inflight.state.lock().unwrap_or_else(|p| p.into_inner());
+        *state = BuildState::Done(value);
+        self.inflight.cv.notify_all();
+        drop(state);
         std::mem::forget(self);
     }
 }
 
 impl<K: Hash + Eq + Clone, V> Drop for AbandonOnUnwind<'_, K, V> {
     fn drop(&mut self) {
-        {
-            let mut state =
-                self.inflight.state.lock().unwrap_or_else(|p| p.into_inner());
-            *state = BuildState::Abandoned;
-            self.inflight.cv.notify_all();
-        }
-        let mut shard = lock_counted(self.map.shard(self.key), &self.map.locks);
-        if let Some(slot) = shard.get(self.key) {
-            if matches!(slot, Slot::Building(b) if Arc::ptr_eq(b, self.inflight)) {
-                shard.remove(self.key);
-            }
-        }
+        lock_counted(self.map.shard(self.key), &self.map.locks).slots.remove(self.key);
+        let mut state = self.inflight.state.lock().unwrap_or_else(|p| p.into_inner());
+        *state = BuildState::Abandoned;
+        self.inflight.cv.notify_all();
     }
 }
 
@@ -293,6 +307,7 @@ impl<K: Hash + Eq + Clone, V> Drop for AbandonOnUnwind<'_, K, V> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     #[test]
     fn builds_once_then_hits() {
@@ -306,8 +321,9 @@ mod tests {
             assert_eq!(*v, "value");
         }
         assert_eq!(builds.load(Ordering::Relaxed), 1);
-        assert_eq!((map.hits(), map.misses()), (2, 1));
-        assert_eq!(map.len(), 1);
+        let stats = map.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+        assert_eq!(stats.entries, 1);
     }
 
     #[test]
@@ -330,8 +346,8 @@ mod tests {
             }
         });
         assert_eq!(builds.load(Ordering::Relaxed), 1, "exactly one build");
-        assert_eq!(map.misses(), 1);
-        assert_eq!(map.hits(), 7);
+        assert_eq!(map.stats().misses, 1);
+        assert_eq!(map.stats().hits, 7);
     }
 
     #[test]
@@ -352,20 +368,77 @@ mod tests {
     }
 
     #[test]
-    fn retain_drops_unmatched_keys() {
-        let map: ShardedMap<u64, u64> = ShardedMap::new(4);
-        for k in 0..10 {
-            map.get_or_build(k, || k);
-        }
-        map.retain(|k| *k % 2 == 0);
-        assert_eq!(map.len(), 5);
-    }
-
-    #[test]
     fn lock_stats_count_acquisitions() {
         let map: ShardedMap<u64, u64> = ShardedMap::new(2);
         map.get_or_build(1, || 1);
-        assert!(map.lock_stats().acquires() >= 1);
-        assert_eq!(map.lock_stats().contended(), 0, "uncontended single thread");
+        assert!(map.stats().lock_acquires >= 1);
+        assert_eq!(map.stats().lock_contended, 0, "uncontended single thread");
+    }
+
+    #[test]
+    fn lru_evicts_the_oldest_entry() {
+        let map: ShardedMap<&str, u64> = ShardedMap::new(2);
+        assert_eq!(map.stats().shards, 1, "small capacity keeps exact global LRU");
+        map.get_or_build("a", || 1);
+        map.get_or_build("b", || 2);
+        // Touch the first entry so the second becomes LRU.
+        map.get_or_build("a", || 1);
+        map.get_or_build("c", || 3);
+        assert_eq!(map.stats().evictions, 1);
+        // "a" survived; "b" was evicted.
+        map.get_or_build("a", || 1);
+        map.get_or_build("b", || 2);
+        assert_eq!(map.stats().hits, 2);
+        assert_eq!(map.stats().misses, 4);
+    }
+
+    #[test]
+    fn large_capacity_stripes_without_losing_hits() {
+        let map: ShardedMap<&str, u64> = ShardedMap::new(4096);
+        assert!(map.stats().shards > 1, "large capacity should stripe");
+        for name in ["a", "b", "c", "d"] {
+            map.get_or_build(name, || 0);
+        }
+        for name in ["a", "b", "c", "d"] {
+            map.get_or_build(name, || 0);
+        }
+        let stats = map.stats();
+        assert_eq!((stats.hits, stats.misses), (4, 4));
+        assert_eq!(stats.entries, 4);
+        assert!(map.stats().lock_acquires > 0);
+    }
+
+    #[test]
+    fn in_flight_build_is_never_evicted() {
+        let map: ShardedMap<u64, u64> = ShardedMap::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let map = &map;
+            let builder = scope.spawn(move || {
+                *map.get_or_build(1, || {
+                    started_tx.send(()).expect("test thread listens");
+                    release_rx.recv().expect("test thread releases the build");
+                    10
+                })
+            });
+            started_rx.recv().expect("builder starts");
+            let waiter = scope.spawn(move || *map.get_or_build(1, || unreachable!("coalesces")));
+            while map.stats().coalesced == 0 {
+                std::thread::yield_now();
+            }
+            // Key 1's build fills the only slot, so key 2 cannot evict it:
+            // it is built and returned but not stored.
+            assert_eq!(*map.get_or_build(2, || 20), 20);
+            assert_eq!(map.stats().evictions, 0);
+            release_tx.send(()).expect("builder waits for release");
+            assert_eq!(builder.join().expect("builder"), 10);
+            assert_eq!(waiter.join().expect("waiter"), 10, "waiter got the built value");
+        });
+        // Once ready, the entry is an ordinary LRU victim.
+        assert_eq!(*map.get_or_build(1, || unreachable!("cached")), 10);
+        map.get_or_build(2, || 20);
+        let stats = map.stats();
+        assert_eq!((stats.evictions, stats.entries), (1, 1));
     }
 }

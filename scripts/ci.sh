@@ -45,6 +45,15 @@ INTERP_COPIES="$(no_pattern_outside_tests '(^|[^[:alnum:]_])decl\.clone\(\)|heap
     || { echo "the interpreter must borrow declarations and heap objects:"; echo "$INTERP_COPIES"; exit 1; }
 echo "streamed hashing / borrowed interpreter check: ok"
 
+# One memo mechanism: every cache tier stores its entries in the bounded
+# `lisa_util::ShardedMap`, so no tier may grow a private map or LRU again
+# (a tier of its own would also escape the shared capacity bound).
+CACHE_STORAGE="$(no_pattern_outside_tests '(^|[^[:alnum:]_])(HashMap|Mutex)([^[:alnum:]_]|$)' \
+    crates/analysis/src/cache.rs crates/concolic/src/cache.rs crates/smt/src/cache.rs)"
+[ -z "$CACHE_STORAGE" ] \
+    || { echo "cache tiers must store entries in ShardedMap, not their own HashMap/Mutex:"; echo "$CACHE_STORAGE"; exit 1; }
+echo "cache storage check: ok"
+
 # Service modules depend one way: only `supervisor` imports the other
 # five, and none of them names it or its `Shared` state; the three data
 # modules (load, durable, stats) never touch the network loop. The

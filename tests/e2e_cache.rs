@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 
+use lisa::gate::CACHE_CAPACITY;
 use lisa::report::render_enforcement;
 use lisa::{
     gate_durable, DurableGateReport, DurableOptions, Gate, GateCache, GateOptions,
@@ -145,6 +146,45 @@ fn cache_is_transparent_across_every_corpus_case() {
             );
         }
     }
+}
+
+#[test]
+fn long_lived_cache_stays_bounded_and_transparent() {
+    // One cache re-gating many distinct versions, as a `lisa serve`
+    // tenant does. Every version adds a call graph, two trees and four
+    // trace batches, so CACHE_CAPACITY / 2 versions overfill both the
+    // analysis and the trace tier.
+    let reg = registry();
+    let cache = Arc::new(GateCache::new());
+    let gate = Gate::new(&reg).config(config()).cache(&cache);
+    let uncached = |v: &SystemVersion| render_enforcement(&Gate::new(&reg).config(config()).run(v));
+    let first = version("v0", false, 0);
+    let first_report = uncached(&first);
+    assert_eq!(render_enforcement(&gate.run(&first)), first_report);
+    for i in 1..=CACHE_CAPACITY / 2 {
+        let v = version(&format!("v{i}"), i % 2 == 0, i as i64);
+        let cached = render_enforcement(&gate.run(&v));
+        if i % 256 == 0 {
+            assert_eq!(cached, uncached(&v), "v{i}: cached report drifted");
+        }
+    }
+
+    let [(_, analysis), (_, trace), _] = cache.tier_stats();
+    for (tier, stats) in cache.tier_stats() {
+        assert!(
+            stats.entries <= CACHE_CAPACITY as u64,
+            "{tier} tier holds {} entries, above its capacity {CACHE_CAPACITY}",
+            stats.entries
+        );
+    }
+    assert!(analysis.evictions > 0, "analysis tier never evicted");
+    assert!(trace.evictions > 0, "trace tier never evicted");
+
+    // The first version's entries are the least recently used: re-gating
+    // it misses again and still renders the uncached report.
+    let misses = cache.misses();
+    assert_eq!(render_enforcement(&gate.run(&first)), first_report);
+    assert!(cache.misses() > misses, "v0 was still cached");
 }
 
 // ---------------------------------------------------------------------------
