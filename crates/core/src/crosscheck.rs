@@ -16,9 +16,11 @@
 //! rules (a dropped conjunct) still ground — they are imprecise, not
 //! wrong, and the reliability experiment scores them separately.
 
-use lisa_analysis::{chain_aliases, execution_tree_filtered, AliasMap, CallGraph, TreeLimits};
+use lisa_analysis::{execution_tree_filtered, CallGraph, TreeLimits};
 use lisa_concolic::{run_tests, Policy, SystemVersion};
 use lisa_oracle::{validate_rule, SemanticRule, ValidationError};
+
+use crate::pipeline::rule_aliases;
 
 /// Cross-check outcome.
 #[derive(Debug, Clone)]
@@ -58,21 +60,7 @@ pub fn cross_check(version: &SystemVersion, rule: &SemanticRule) -> CrossCheck {
             reason: "no site matches the target — trivially satisfied".to_string(),
         };
     }
-    let mut aliases = AliasMap::default();
-    for chain in &tree.chains {
-        aliases.merge(&chain_aliases(
-            &version.program,
-            &graph,
-            chain,
-            rule.target.callee(),
-            &rule.placeholder_roots,
-        ));
-    }
-    for root in &rule.placeholder_roots {
-        if version.program.global(root).is_some() {
-            aliases.insert("*", root, root);
-        }
-    }
+    let aliases = rule_aliases(&version.program, &graph, &tree, rule);
     let runs = run_tests(
         &version.program,
         &version.tests,

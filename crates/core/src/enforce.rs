@@ -28,6 +28,7 @@ use lisa_util::{retry_with_backoff, RetryPolicy};
 
 use crate::error::LisaError;
 use crate::faults::{FaultInjector, FaultKind, TRANSIENT_MARKER};
+use crate::gate::GateCache;
 use crate::pipeline::{Pipeline, PipelineConfig};
 use crate::sched::{run_rules, DegradeSignal};
 use crate::verdict::RuleReport;
@@ -187,45 +188,112 @@ impl EnforcementReport {
     pub fn violated_rules(&self) -> Vec<&RuleReport> {
         self.reports.iter().filter(|r| r.has_violation()).collect()
     }
-
-    /// True when an engine error occurred — the condition exit code 2 is
-    /// reserved for (under fail-closed).
-    pub fn has_engine_errors(&self) -> bool {
-        self.engine_errors > 0
-    }
 }
 
-/// The gate engine behind [`crate::Gate`]. The gate never propagates a
-/// panic: every rule yields a report, and the worst a faulty rule can do
-/// is mark itself as an engine error. When `cache` is given, workers
-/// share its memoized analysis/trace/query artifacts; its counters are
-/// published to telemetry on the way out.
+/// The in-memory gate engine behind [`crate::Gate`]: one [`RuleChecker`]
+/// driven through [`run_rules`] at up to `workers` rules at once. The gate
+/// never propagates a panic: every rule yields a report, and the worst a
+/// faulty rule can do is mark itself as an engine error.
 pub(crate) fn enforce_impl(
     registry: &RuleRegistry,
     version: &SystemVersion,
     config: &PipelineConfig,
     workers: usize,
     options: &GateOptions,
-    cache: Option<&Arc<crate::gate::GateCache>>,
+    cache: Option<&Arc<GateCache>>,
 ) -> EnforcementReport {
-    let started = Instant::now();
-    let mut gate_span = lisa_telemetry::span_with("gate.enforce", version.label.clone());
+    let checker = RuleChecker::new(version, config, options, cache);
     let workers = crate::sched::resolve_workers(workers);
-    let total_retries = AtomicU64::new(0);
-    let degrade = DegradeSignal::new(started, options.deadline);
-
     // One slot per rule: rules finish in any order, reports fold in
     // registry order.
     let rules = registry.rules();
     let slots: Vec<OnceLock<RuleReport>> = rules.iter().map(|_| OnceLock::new()).collect();
     run_rules(workers, rules.len(), |i| {
-        let rule = &rules[i];
+        let _ = slots[i].set(checker.check(&rules[i]));
+    });
+    let reports: Vec<RuleReport> = slots
+        .into_iter()
+        .map(|s| s.into_inner().expect("every rule writes its slot before run_rules returns"))
+        .collect();
+
+    let has_violation = reports.iter().any(|r| r.has_violation());
+    let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
+    let decision = GateDecision::decide(has_violation, engine_errors, options.fail_mode);
+    let settled = checker.finish(&reports, decision, workers);
+    let mut review_needed: usize = reports.iter().map(|r| r.not_covered_count()).sum();
+    if options.fail_mode == FailMode::Closed {
+        // Engine-errored rules need a human verdict too.
+        review_needed += engine_errors;
+    }
+    EnforcementReport {
+        version: version.label.clone(),
+        reports,
+        decision,
+        review_needed,
+        fail_mode: options.fail_mode,
+        engine_errors,
+        degraded_rules: settled.degraded_rules,
+        retries: settled.retries,
+        warnings: settled.warnings,
+        workers,
+    }
+}
+
+/// The gate's per-rule unit, shared by every gate path: [`enforce_impl`]
+/// drives it through [`run_rules`], the durable gate one rule at a time
+/// between journal records. One checker covers one gate run over one
+/// version, so the run has one [`Pipeline`], one `gate.enforce` span, one
+/// retry total and one latching [`DegradeSignal`]: the deadline spans the
+/// whole run, not each rule.
+pub(crate) struct RuleChecker<'a> {
+    version: &'a SystemVersion,
+    pipeline: Pipeline,
+    options: &'a GateOptions,
+    degrade: DegradeSignal,
+    retries: AtomicU64,
+    span: lisa_telemetry::SpanGuard,
+}
+
+/// What a finished gate run reports beyond its rule reports.
+pub(crate) struct Settled {
+    /// The deadline line (if the deadline fired), then one line per
+    /// engine-errored rule, in report order.
+    pub warnings: Vec<String>,
+    pub degraded_rules: usize,
+    pub retries: u64,
+}
+
+impl<'a> RuleChecker<'a> {
+    /// Start a gate run over `version`; the deadline clock starts now.
+    /// When `cache` is given, every check shares its memoized
+    /// analysis/trace/query artifacts.
+    pub(crate) fn new(
+        version: &'a SystemVersion,
+        config: &PipelineConfig,
+        options: &'a GateOptions,
+        cache: Option<&'a Arc<GateCache>>,
+    ) -> RuleChecker<'a> {
+        let span = lisa_telemetry::span_with("gate.enforce", version.label.clone());
         let pipeline = match cache {
             Some(c) => Pipeline::with_cache(config.clone(), Arc::clone(c)),
             None => Pipeline::new(config.clone()),
         };
-        let past_deadline = degrade.expired();
-        if past_deadline && degrade.first_notice() {
+        RuleChecker {
+            version,
+            pipeline,
+            options,
+            degrade: DegradeSignal::new(Instant::now(), options.deadline),
+            retries: AtomicU64::new(0),
+            span,
+        }
+    }
+
+    /// Check one rule: past the run deadline as a degraded fixed-path
+    /// sanity check, otherwise in full, with panic isolation, fault
+    /// arming and bounded retry. Never panics; always returns a report.
+    pub(crate) fn check(&self, rule: &SemanticRule) -> RuleReport {
+        let past_deadline = self.degrade.expired();
+        if past_deadline && self.degrade.first_notice() {
             lisa_telemetry::event(
                 "gate.deadline_expired",
                 format!(
@@ -235,159 +303,129 @@ pub(crate) fn enforce_impl(
                 ),
             );
         }
-        let (report, retries) =
-            check_one_rule(&pipeline, version, rule, options, past_deadline, &degrade);
-        total_retries.fetch_add(retries as u64, Ordering::Relaxed);
-        let _ = slots[i].set(report);
-    });
-    let reports: Vec<RuleReport> = slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every rule writes its slot before run_rules returns"))
-        .collect();
-
-    let engine_errors = reports.iter().filter(|r| r.has_engine_error()).count();
-    let degraded_rules = reports.iter().filter(|r| r.degraded).count();
-    let mut warnings = Vec::new();
-    if degrade.was_hit() {
-        warnings.push(format!(
-            "gate deadline expired; {degraded_rules} rule(s) checked in degraded mode"
-        ));
-    }
-    for r in reports.iter().filter(|r| r.has_engine_error()) {
-        let reason = r
-            .chains
-            .iter()
-            .find_map(|c| match &c.verdict {
-                crate::verdict::ChainVerdict::EngineError { reason } => Some(reason.as_str()),
-                _ => None,
-            })
-            .unwrap_or("unknown");
-        // The taxonomy's Display already leads with "rule <id>:" — don't
-        // repeat it in the warning prefix.
-        let reason =
-            reason.strip_prefix(&format!("rule {}: ", r.rule_id)).unwrap_or(reason);
-        warnings.push(format!("rule {}: engine error: {reason}", r.rule_id));
-    }
-
-    let has_violation = reports.iter().any(|r| r.has_violation());
-    let decision = GateDecision::decide(has_violation, engine_errors, options.fail_mode);
-    let mut review_needed: usize = reports.iter().map(|r| r.not_covered_count()).sum();
-    if options.fail_mode == FailMode::Closed {
-        // Engine-errored rules need a human verdict too.
-        review_needed += engine_errors;
-    }
-    gate_span.arg("rules", reports.len() as u64);
-    gate_span.arg("workers", workers as u64);
-    gate_span.arg("engine_errors", engine_errors as u64);
-    gate_span.arg("degraded_rules", degraded_rules as u64);
-    gate_span.arg("retries", total_retries.load(Ordering::Relaxed));
-    gate_span.set_detail(format!("{} -> {decision}", version.label));
-    if lisa_telemetry::metrics_enabled() {
-        lisa_telemetry::counter_add("gate.runs", 1);
-        lisa_telemetry::counter_add(
-            match decision {
-                GateDecision::Pass => "gate.pass",
-                GateDecision::Block => "gate.block",
-            },
-            1,
+        let (result, retries) = retry_with_backoff(
+            &self.options.retry,
+            |_attempt| self.attempt(rule, past_deadline),
+            |e: &LisaError| e.is_transient(),
         );
-        lisa_telemetry::counter_add("gate.engine_errors", engine_errors as u64);
-        lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
-        lisa_telemetry::counter_add("gate.retries", total_retries.load(Ordering::Relaxed));
+        let mut report = match result {
+            Ok(report) => report,
+            Err(e) => RuleReport::engine_error(
+                rule.id.clone(),
+                rule.description.clone(),
+                rule.target.to_string(),
+                rule.condition_src.clone(),
+                e.to_string(),
+            ),
+        };
+        report.retries = retries;
+        self.retries.fetch_add(retries as u64, Ordering::Relaxed);
+        report
     }
-    if let Some(c) = cache {
-        c.publish_metrics();
-    }
-    EnforcementReport {
-        version: version.label.clone(),
-        reports,
-        decision,
-        review_needed,
-        fail_mode: options.fail_mode,
-        engine_errors,
-        degraded_rules,
-        retries: total_retries.load(Ordering::Relaxed),
-        warnings,
-        workers,
-    }
-}
 
-/// Check one rule with panic isolation, fault arming, and bounded retry.
-/// Never panics; always returns a report.
-fn check_one_rule(
-    pipeline: &Pipeline,
-    version: &SystemVersion,
-    rule: &SemanticRule,
-    options: &GateOptions,
-    degraded: bool,
-    degrade: &DegradeSignal,
-) -> (RuleReport, u32) {
-    let (result, retries) = retry_with_backoff(
-        &options.retry,
-        |_attempt| run_attempt(pipeline, version, rule, options, degraded, degrade),
-        |e: &LisaError| e.is_transient(),
-    );
-    let mut report = match result {
-        Ok(report) => report,
-        Err(e) => RuleReport::engine_error(
-            rule.id.clone(),
-            rule.description.clone(),
-            rule.target.to_string(),
-            rule.condition_src.clone(),
-            e.to_string(),
-        ),
-    };
-    report.retries = retries;
-    (report, retries)
-}
-
-/// One attempt: arm any injected fault, then run the (possibly degraded)
-/// rule check under `catch_unwind`, classifying the unwind payload.
-fn run_attempt(
-    pipeline: &Pipeline,
-    version: &SystemVersion,
-    rule: &SemanticRule,
-    options: &GateOptions,
-    degraded: bool,
-    degrade: &DegradeSignal,
-) -> Result<RuleReport, LisaError> {
-    let fault = options.faults.as_ref().and_then(|inj| inj.arm(&rule.id));
-    // Faults that rewrite the input are applied to a clone; the caller's
-    // rule is never mutated.
-    let mut effective_rule = None;
-    let mut effective_pipeline = None;
-    match fault {
-        Some(FaultKind::Panic) => {
-            panic_isolated(|| panic!("lisa-fault: injected panic for rule {}", rule.id))?;
-        }
-        Some(FaultKind::TransientPanic) => {
-            panic_isolated(|| panic!("{TRANSIENT_MARKER} injected blip for rule {}", rule.id))?;
-        }
-        Some(FaultKind::MalformedCondition) => {
-            let mut bad = rule.clone();
-            bad.condition_src = format!("{} &&", bad.condition_src);
-            effective_rule = Some(bad);
-        }
-        Some(FaultKind::SolverExhaustion) => {
-            let mut config = pipeline.config.clone();
-            config.budgets.max_solver_conflicts = Some(0);
-            // Keep the cache: queries are keyed by conflict budget, so a
-            // zero-budget attempt can never surface a cached full-budget
-            // verdict.
-            effective_pipeline = Some(pipeline.reconfigured(config));
-        }
-        Some(FaultKind::Stall) => {
-            if let Some(inj) = options.faults.as_ref() {
-                std::thread::sleep(inj.stall);
+    /// One attempt: arm any injected fault, then run the (possibly
+    /// degraded) rule check under `catch_unwind`, classifying the unwind
+    /// payload.
+    fn attempt(&self, rule: &SemanticRule, degraded: bool) -> Result<RuleReport, LisaError> {
+        let faults = self.options.faults.as_ref();
+        // Faults that rewrite the input are applied to a clone; the
+        // caller's rule is never mutated.
+        let mut effective_rule = None;
+        let mut effective_pipeline = None;
+        match faults.and_then(|inj| inj.arm(&rule.id)) {
+            Some(FaultKind::Panic) => {
+                panic_isolated(|| panic!("lisa-fault: injected panic for rule {}", rule.id))?;
             }
+            Some(FaultKind::TransientPanic) => {
+                panic_isolated(|| {
+                    panic!("{TRANSIENT_MARKER} injected blip for rule {}", rule.id)
+                })?;
+            }
+            Some(FaultKind::MalformedCondition) => {
+                let mut bad = rule.clone();
+                bad.condition_src = format!("{} &&", bad.condition_src);
+                effective_rule = Some(bad);
+            }
+            Some(FaultKind::SolverExhaustion) => {
+                let mut config = self.pipeline.config.clone();
+                config.max_solver_conflicts = Some(0);
+                // Keep the cache: queries are keyed by conflict budget, so
+                // a zero-budget attempt can never surface a cached
+                // full-budget verdict.
+                effective_pipeline = Some(self.pipeline.reconfigured(config));
+            }
+            Some(FaultKind::Stall) => {
+                if let Some(inj) = faults {
+                    std::thread::sleep(inj.stall);
+                }
+            }
+            None => {}
         }
-        None => {}
+        let rule = effective_rule.as_ref().unwrap_or(rule);
+        let pipeline = effective_pipeline.as_ref().unwrap_or(&self.pipeline);
+        // `degraded` (past the gate deadline) runs the cheap fixed-path
+        // sanity check; the malformed-rule boundary applies either way.
+        panic_isolated(|| pipeline.try_check(self.version, rule, degraded, Some(&self.degrade)))?
     }
-    let rule = effective_rule.as_ref().unwrap_or(rule);
-    let pipeline = effective_pipeline.as_ref().unwrap_or(pipeline);
-    // `degraded` (past the gate deadline) runs the cheap fixed-path
-    // sanity check; the malformed-rule boundary applies either way.
-    panic_isolated(|| pipeline.try_check(version, rule, degraded, Some(degrade)))?
+
+    /// Close the run over the `reports` this checker produced and the
+    /// run's `decision`: build the warnings, fill the `gate.enforce`
+    /// span, and publish the `gate.*` counters and the cache's counters.
+    pub(crate) fn finish(
+        mut self,
+        reports: &[RuleReport],
+        decision: GateDecision,
+        workers: usize,
+    ) -> Settled {
+        let errored: Vec<&RuleReport> = reports.iter().filter(|r| r.has_engine_error()).collect();
+        let degraded_rules = reports.iter().filter(|r| r.degraded).count();
+        let retries = self.retries.load(Ordering::Relaxed);
+        let mut warnings = Vec::new();
+        if self.degrade.was_hit() {
+            warnings.push(format!(
+                "gate deadline expired; {degraded_rules} rule(s) checked in degraded mode"
+            ));
+        }
+        for r in &errored {
+            let reason = r
+                .chains
+                .iter()
+                .find_map(|c| match &c.verdict {
+                    crate::verdict::ChainVerdict::EngineError { reason } => Some(reason.as_str()),
+                    _ => None,
+                })
+                .unwrap_or("unknown");
+            // The taxonomy's Display already leads with "rule <id>:" — don't
+            // repeat it in the warning prefix.
+            let reason =
+                reason.strip_prefix(&format!("rule {}: ", r.rule_id)).unwrap_or(reason);
+            warnings.push(format!("rule {}: engine error: {reason}", r.rule_id));
+        }
+
+        self.span.arg("rules", reports.len() as u64);
+        self.span.arg("workers", workers as u64);
+        self.span.arg("engine_errors", errored.len() as u64);
+        self.span.arg("degraded_rules", degraded_rules as u64);
+        self.span.arg("retries", retries);
+        self.span.set_detail(format!("{} -> {decision}", self.version.label));
+        if lisa_telemetry::metrics_enabled() {
+            lisa_telemetry::counter_add("gate.runs", 1);
+            lisa_telemetry::counter_add(
+                match decision {
+                    GateDecision::Pass => "gate.pass",
+                    GateDecision::Block => "gate.block",
+                },
+                1,
+            );
+            lisa_telemetry::counter_add("gate.engine_errors", errored.len() as u64);
+            lisa_telemetry::counter_add("gate.degraded_rules", degraded_rules as u64);
+            lisa_telemetry::counter_add("gate.retries", retries);
+        }
+        if let Some(c) = &self.pipeline.cache {
+            c.publish_metrics();
+        }
+        Settled { warnings, degraded_rules, retries }
+    }
 }
 
 /// Run `f` under `catch_unwind`, converting an unwind into a

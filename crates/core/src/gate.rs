@@ -1,10 +1,7 @@
 //! The `Gate` facade: one builder for every way of running the gate.
 //!
-//! Historically the gate grew a free function per concern —
-//! `enforce(registry, version, config, workers)`, then
-//! `enforce_with(..., options)` — and every new capability (caching,
-//! here) would have meant another positional parameter on every call
-//! site. [`Gate`] replaces that with a builder:
+//! [`Gate`] is the one entry point to the in-memory gate, configured as
+//! a builder:
 //!
 //! ```text
 //! Gate::new(&registry)
@@ -14,9 +11,6 @@
 //!     .cache(&cache)
 //!     .run(&version)
 //! ```
-//!
-//! The old functions lived on for a while as `#[deprecated]` thin
-//! wrappers and are now gone; [`Gate`] is the only entry point.
 //!
 //! This module also holds the two supporting pieces of the facade:
 //!
@@ -39,7 +33,7 @@ use lisa_smt::QueryCache;
 
 use crate::enforce::{enforce_impl, EnforcementReport, FailMode, GateOptions, RuleRegistry};
 use crate::faults::{FaultInjector, FaultPlan};
-use crate::pipeline::{PipelineConfig, ResourceBudgets, TestSelection};
+use crate::pipeline::{PipelineConfig, TestSelection};
 
 /// Entries each [`GateCache`] tier holds before it evicts its least
 /// recently used one. A fully warm re-gate of the 64-input benchmark
@@ -140,8 +134,8 @@ impl GateCache {
 }
 
 /// Builder facade over the enforcement gate. `Gate::new(&registry)` with
-/// no further configuration is equivalent to the old
-/// `enforce(registry, version, &PipelineConfig::default(), 1)`.
+/// no further configuration checks every rule on the calling thread with
+/// the default pipeline configuration and options, and no cache.
 #[derive(Debug)]
 pub struct Gate<'r> {
     registry: &'r RuleRegistry,
@@ -162,7 +156,8 @@ impl<'r> Gate<'r> {
         }
     }
 
-    /// Pipeline configuration (test selection, tree limits, budgets).
+    /// Pipeline configuration (test selection, tree limits, conflict
+    /// budget).
     pub fn config(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -176,7 +171,7 @@ impl<'r> Gate<'r> {
         self
     }
 
-    /// Resilience options (fail mode, deadline, budgets, retry, faults).
+    /// Resilience options (fail mode, deadline, retry, faults).
     pub fn options(mut self, options: GateOptions) -> Self {
         self.options = options;
         self
@@ -265,10 +260,7 @@ impl GateConfig {
         let pipeline = PipelineConfig {
             selection,
             test_prefix,
-            budgets: ResourceBudgets {
-                max_solver_conflicts: num(flags, "max-solver-conflicts")?,
-                ..ResourceBudgets::default()
-            },
+            max_solver_conflicts: num(flags, "max-solver-conflicts")?,
             ..PipelineConfig::default()
         };
         let cache = match flags.get("cache").map(String::as_str) {
@@ -355,7 +347,7 @@ mod tests {
         assert_eq!(cfg.workers, 8);
         assert_eq!(cfg.fail_mode, FailMode::Open);
         assert_eq!(cfg.deadline, Some(Duration::from_millis(250)));
-        assert_eq!(cfg.pipeline.budgets.max_solver_conflicts, Some(64));
+        assert_eq!(cfg.pipeline.max_solver_conflicts, Some(64));
         assert_eq!(cfg.fault_seed, Some(7));
         assert!(cfg.gate_cache().is_none(), "--cache off");
         let opts = cfg.gate_options(&["R1".to_string()]);

@@ -181,13 +181,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Convenience: string member of an object.
     pub fn str_of(&self, key: &str) -> Option<&str> {
         self.get(key).and_then(Json::as_str)

@@ -109,7 +109,7 @@ pub use faults::{
 };
 pub use gate::{Gate, GateCache, GateConfig};
 pub use json::Json;
-pub use pipeline::{Pipeline, PipelineConfig, ResourceBudgets, TestSelection};
+pub use pipeline::{Pipeline, PipelineConfig, TestSelection};
 pub use sched::resolve_workers;
 pub use netloop::Addr;
 pub use service::{

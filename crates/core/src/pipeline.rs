@@ -23,6 +23,7 @@ use lisa_analysis::{
 use lisa_concolic::{
     run_tests_budgeted, HarnessBudget, HarnessOutcome, Policy, SystemVersion, TargetHit, TestCase,
 };
+use lisa_lang::Program;
 use lisa_oracle::rag::{describe_path, TestIndex};
 use lisa_oracle::SemanticRule;
 use lisa_smt::ViolationOutcome;
@@ -43,36 +44,15 @@ pub enum TestSelection {
     Random { k: usize, seed: u64 },
 }
 
-/// Resource budgets for one rule check. All default to `None`
-/// (unbounded), which preserves the classic pipeline behavior; gate
-/// callers set them to guarantee the check terminates promptly even on
-/// adversarial rules or tests.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ResourceBudgets {
-    /// SAT-core conflict budget per violation query; exhaustion makes the
-    /// query Unknown and the affected chain degrades to not-covered.
-    pub max_solver_conflicts: Option<u64>,
-    /// Interpreter step ceiling per executed test.
-    pub max_steps_per_test: Option<u64>,
-    /// Wall-clock allowance for the concolic batch of one rule; when it
-    /// expires, remaining tests are skipped and the report is marked
-    /// degraded.
-    pub rule_wall: Option<Duration>,
-}
-
-impl ResourceBudgets {
-    /// The budgets used for deadline-degraded rules: a fixed-path sanity
-    /// check must finish in milliseconds, not explore exhaustively.
-    pub(crate) fn degraded(self) -> ResourceBudgets {
-        ResourceBudgets {
-            max_solver_conflicts: Some(self.max_solver_conflicts.unwrap_or(512).min(512)),
-            max_steps_per_test: Some(self.max_steps_per_test.unwrap_or(100_000).min(100_000)),
-            rule_wall: Some(self.rule_wall.unwrap_or(Duration::from_millis(250)).min(
-                Duration::from_millis(250),
-            )),
-        }
-    }
-}
+/// Degraded-mode budgets: a deadline-degraded fixed-path sanity check
+/// must finish in milliseconds, not explore exhaustively. The conflict
+/// budget is this or the configured one, whichever is lower.
+const DEGRADED_MAX_CONFLICTS: u64 = 512;
+/// Interpreter step ceiling per test once a rule is degraded.
+const DEGRADED_MAX_STEPS: u64 = 100_000;
+/// Wall-clock allowance for a degraded rule's one concolic test; when it
+/// expires the test is cut short and the report stays degraded.
+const DEGRADED_WALL: Duration = Duration::from_millis(250);
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -83,8 +63,10 @@ pub struct PipelineConfig {
     /// Functions with this prefix are test entry points, not system
     /// request paths; the execution tree does not climb into them.
     pub test_prefix: String,
-    /// Resource budgets applied to every rule check.
-    pub budgets: ResourceBudgets,
+    /// SAT-core conflict budget per violation query; exhaustion makes the
+    /// query Unknown and the affected chain degrades to not-covered.
+    /// `None` = unbounded.
+    pub max_solver_conflicts: Option<u64>,
 }
 
 impl Default for PipelineConfig {
@@ -94,7 +76,7 @@ impl Default for PipelineConfig {
             selection: TestSelection::Rag { k: 4 },
             tree_limits: TreeLimits::default(),
             test_prefix: "test_".to_string(),
-            budgets: ResourceBudgets::default(),
+            max_solver_conflicts: None,
         }
     }
 }
@@ -105,7 +87,7 @@ pub struct Pipeline {
     pub config: PipelineConfig,
     /// Version-scoped cache shared with other pipelines in the same gate
     /// run (see [`GateCache`]); `None` = every artifact computed fresh.
-    cache: Option<Arc<GateCache>>,
+    pub(crate) cache: Option<Arc<GateCache>>,
 }
 
 impl Pipeline {
@@ -143,10 +125,11 @@ impl Pipeline {
     }
 
     /// The gate's entry point: [`Pipeline::try_check_rule`], or with
-    /// `degraded_mode` the validated [`Pipeline::check_rule_degraded`]
-    /// (which only needs a parseable condition). Past the `degrade`
-    /// deadline, the rule's remaining tests and queries run under
-    /// degraded budgets.
+    /// `degraded_mode` the fixed-path sanity pass the gate falls back to
+    /// once its deadline has expired — one test, degraded budgets, report
+    /// marked [`RuleReport::degraded`] — which only needs a parseable
+    /// condition. Past the `degrade` deadline, the rule's remaining tests
+    /// and queries run under degraded budgets.
     pub(crate) fn try_check(
         &self,
         version: &SystemVersion,
@@ -169,17 +152,6 @@ impl Pipeline {
         Ok(self.check_rule_mode(version, rule, degraded_mode, degrade))
     }
 
-    /// Degraded check: the fixed-path sanity pass the gate falls back to
-    /// once its deadline has expired — one test, tight budgets, report
-    /// marked [`RuleReport::degraded`].
-    pub fn check_rule_degraded(
-        &self,
-        version: &SystemVersion,
-        rule: &SemanticRule,
-    ) -> RuleReport {
-        self.check_rule_mode(version, rule, true, None)
-    }
-
     fn check_rule_mode(
         &self,
         version: &SystemVersion,
@@ -191,11 +163,6 @@ impl Pipeline {
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.clone());
         rule_span.arg("degraded_mode", u64::from(degraded_mode));
         let metrics_on = lisa_telemetry::metrics_enabled();
-        let budgets = if degraded_mode {
-            self.config.budgets.degraded()
-        } else {
-            self.config.budgets
-        };
         let mut stats = PipelineStats::default();
         let program = &version.program;
         // Fingerprint once per rule check; every cache below keys on it.
@@ -225,28 +192,11 @@ impl Pipeline {
         };
         stats.static_chains = tree.chains.len() as u64;
 
-        // Placeholder aliases, unioned across chains (constraint renaming
-        // is (function, path)-keyed, so the union is chain-safe).
         let t_aliases = Instant::now();
-        let mut aliases = AliasMap::default();
-        {
+        let aliases = {
             let _s = lisa_telemetry::span("pipeline.aliases");
-            for chain in &tree.chains {
-                aliases.merge(&chain_aliases(
-                    program,
-                    &graph,
-                    chain,
-                    rule.target.callee(),
-                    &rule.placeholder_roots,
-                ));
-            }
-            // Builtin rules have no parameter aliases; globals still resolve.
-            for root in &rule.placeholder_roots {
-                if program.global(root).is_some() {
-                    aliases.insert("*", root, root);
-                }
-            }
-        }
+            rule_aliases(program, &graph, &tree, rule)
+        };
 
         // Test selection; degraded mode keeps only the best-ranked test
         // (the fixed-path sanity check).
@@ -260,64 +210,50 @@ impl Pipeline {
         }
         stats.tests_selected = selected.len() as u64;
 
-        // Concolic execution under the harness budget. Tests are
-        // independent (each gets a fresh interpreter), so with no wall
-        // budget each selected test runs as its own batch, keyed on its
-        // own in the trace cache. A wall budget truncates on machine
-        // time, so it keeps the single batch (mirroring the trace cache's
-        // uncacheable bypass). Past the gate deadline, the remaining tests
-        // and queries drop to degraded budgets and mark the report
-        // degraded.
+        // Concolic execution, one test per batch: tests are independent
+        // (each gets a fresh interpreter), so each is keyed on its own in
+        // the trace cache. The deadline is checked before every test;
+        // past it, the remaining tests and queries drop to degraded
+        // budgets and mark the report degraded. A degraded rule's one test
+        // also gets the degraded wall budget (which the trace cache never
+        // stores).
         let t_concolic = Instant::now();
-        let harness_budget = HarnessBudget {
-            max_steps_per_test: budgets.max_steps_per_test,
-            wall: budgets.rule_wall,
-        };
-        let degraded_budgets = budgets.degraded();
-        let mut deadline_clamped = false;
-        let mut past_deadline = || {
-            let expired = degrade.is_some_and(|d| d.expired());
-            deadline_clamped |= expired;
+        let mut clamped = false;
+        let mut degrade_now = || {
+            let expired = degraded_mode || degrade.is_some_and(|d| d.expired());
+            clamped |= expired;
             expired
         };
-        let run_batch = |tests: &[TestCase], budget: &HarnessBudget| match (cache, program_fp) {
-            (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
-                fp,
-                program,
-                tests,
-                &rule.target,
-                &aliases,
-                &self.config.policy,
-                budget,
-            ),
-            _ => Arc::new(run_tests_budgeted(
-                program,
-                tests,
-                &rule.target,
-                &aliases,
-                &self.config.policy,
-                budget,
-            )),
-        };
-        let mut outcomes: Vec<Arc<HarnessOutcome>> = Vec::with_capacity(selected.len());
-        if harness_budget.wall.is_some() || selected.len() <= 1 {
-            outcomes.push(run_batch(&selected, &harness_budget));
-        } else {
-            for test in &selected {
-                let max_steps_per_test = if past_deadline() {
-                    degraded_budgets.max_steps_per_test
-                } else {
-                    harness_budget.max_steps_per_test
-                };
+        let outcomes: Vec<Arc<HarnessOutcome>> = selected
+            .iter()
+            .map(|test| {
                 let budget = HarnessBudget {
-                    max_steps_per_test,
-                    wall: None,
+                    max_steps_per_test: degrade_now().then_some(DEGRADED_MAX_STEPS),
+                    wall: degraded_mode.then_some(DEGRADED_WALL),
                 };
-                outcomes.push(run_batch(std::slice::from_ref(test), &budget));
-            }
-        }
+                let tests = std::slice::from_ref(test);
+                match (cache, program_fp) {
+                    (Some(c), Some(fp)) => c.traces().run_tests_budgeted(
+                        fp,
+                        program,
+                        tests,
+                        &rule.target,
+                        &aliases,
+                        &self.config.policy,
+                        &budget,
+                    ),
+                    _ => Arc::new(run_tests_budgeted(
+                        program,
+                        tests,
+                        &rule.target,
+                        &aliases,
+                        &self.config.policy,
+                        &budget,
+                    )),
+                }
+            })
+            .collect();
         let runs: Vec<_> = outcomes.iter().flat_map(|o| o.runs.iter()).collect();
-        let truncated = outcomes.iter().any(|o| o.truncated);
         stats.tests_executed = runs.len() as u64;
 
         // Judge every arrival; fold onto static chains.
@@ -353,10 +289,11 @@ impl Pipeline {
             stats.interp_steps += run.steps;
             for hit in &run.hits {
                 stats.solver_calls += 1;
-                let conflicts = if past_deadline() {
-                    degraded_budgets.max_solver_conflicts
+                let configured = self.config.max_solver_conflicts;
+                let conflicts = if degrade_now() {
+                    Some(configured.unwrap_or(u64::MAX).min(DEGRADED_MAX_CONFLICTS))
                 } else {
-                    budgets.max_solver_conflicts
+                    configured
                 };
                 let query_outcome = match cache {
                     Some(c) => {
@@ -432,7 +369,9 @@ impl Pipeline {
         let sanity_ok = chain_reports
             .iter()
             .any(|c| matches!(c.verdict, ChainVerdict::Verified));
-        let degraded = degraded_mode || truncated || deadline_clamped;
+        // Only a degraded rule's test has a wall budget, so a truncated
+        // batch is already degraded.
+        let degraded = degraded_mode || clamped;
         stats.wall = started.elapsed();
         if metrics_on {
             let t_end = Instant::now();
@@ -485,11 +424,6 @@ impl Pipeline {
             lisa_telemetry::event(
                 "pipeline.degraded",
                 format!("rule {}: deadline-degraded sanity pass", rule.id),
-            );
-        } else if truncated {
-            lisa_telemetry::event(
-                "pipeline.degraded",
-                format!("rule {}: concolic wall budget truncated the test batch", rule.id),
             );
         }
         rule_span.arg("static_chains", stats.static_chains);
@@ -563,6 +497,34 @@ impl Pipeline {
             }
         }
     }
+}
+
+/// Placeholder aliases for `rule`: the union of every chain's aliases
+/// (constraint renaming is (function, path)-keyed, so the union is
+/// chain-safe), plus each placeholder root that names a global — builtin
+/// rules have no parameter aliases, but globals still resolve.
+pub(crate) fn rule_aliases(
+    program: &Program,
+    graph: &CallGraph,
+    tree: &ExecutionTree,
+    rule: &SemanticRule,
+) -> AliasMap {
+    let mut aliases = AliasMap::default();
+    for chain in &tree.chains {
+        aliases.merge(&chain_aliases(
+            program,
+            graph,
+            chain,
+            rule.target.callee(),
+            &rule.placeholder_roots,
+        ));
+    }
+    for root in &rule.placeholder_roots {
+        if program.global(root).is_some() {
+            aliases.insert("*", root, root);
+        }
+    }
+    aliases
 }
 
 /// Match a dynamic arrival to a static chain: the static chain's function
@@ -698,10 +660,7 @@ mod tests {
         // completes and reports honestly.
         let pipeline = Pipeline::new(PipelineConfig {
             selection: TestSelection::All,
-            budgets: ResourceBudgets {
-                max_solver_conflicts: Some(0),
-                ..ResourceBudgets::default()
-            },
+            max_solver_conflicts: Some(0),
             ..PipelineConfig::default()
         });
         // The violation query is `pi ∧ ¬C`; embed a pairwise-distinct
@@ -732,11 +691,7 @@ mod tests {
         });
         let budgeted = Pipeline::new(PipelineConfig {
             selection: TestSelection::All,
-            budgets: ResourceBudgets {
-                max_solver_conflicts: Some(1_000_000),
-                max_steps_per_test: Some(100_000_000),
-                rule_wall: Some(Duration::from_secs(3600)),
-            },
+            max_solver_conflicts: Some(1_000_000),
             ..PipelineConfig::default()
         });
         let a = unbudgeted.check_rule(&version(), &rule());
@@ -755,7 +710,7 @@ mod tests {
             selection: TestSelection::All,
             ..PipelineConfig::default()
         });
-        let report = pipeline.check_rule_degraded(&version(), &rule());
+        let report = pipeline.try_check(&version(), &rule(), true, None).expect("well-formed");
         assert!(report.degraded);
         assert!(report.tests_selected.len() <= 1, "{:?}", report.tests_selected);
     }

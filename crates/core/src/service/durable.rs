@@ -26,7 +26,7 @@ use lisa_store::repl::ReplBus;
 use lisa_store::{FingerprintFile, IoFaults, RuleOutcome, RunState, RunStore, StoreError};
 use lisa_util::{fnv1a, Fnv1a};
 
-use crate::enforce::{enforce_impl, GateDecision, GateOptions, RuleRegistry};
+use crate::enforce::{GateDecision, GateOptions, RuleChecker, RuleRegistry};
 use crate::gate::GateCache;
 use crate::pipeline::PipelineConfig;
 use crate::verdict::RuleReport;
@@ -118,7 +118,7 @@ pub fn outcome_of(r: &RuleReport) -> RuleOutcome {
 /// above), and a run that never arrives contributes neither — its
 /// interior can change freely without moving any verdict.
 struct DepHasher {
-    graph: CallGraph,
+    graph: Arc<CallGraph>,
     fn_fps: BTreeMap<String, u64>,
     /// Hash of everything rule-independent: decls, tests, configuration.
     base: u64,
@@ -127,8 +127,18 @@ struct DepHasher {
 }
 
 impl DepHasher {
-    fn new(version: &SystemVersion, config: &PipelineConfig, gate: &GateOptions) -> DepHasher {
-        let graph = CallGraph::build(&version.program);
+    /// The call graph comes from `cache`, so the durable run's rule checks
+    /// reuse it instead of building their own.
+    fn new(
+        version: &SystemVersion,
+        config: &PipelineConfig,
+        gate: &GateOptions,
+        cache: &GateCache,
+    ) -> DepHasher {
+        let program = &version.program;
+        let graph = cache
+            .analysis()
+            .callgraph(lisa_lang::fingerprint_program(program), || CallGraph::build(program));
         let mut base = Fnv1a::new();
         base.part_u64(lisa_lang::fingerprint_decls(&version.program));
         for t in &version.tests {
@@ -328,19 +338,18 @@ pub fn gate_durable(
     // outcome journaled verbatim instead of being re-explored. Off
     // whenever faults or a deadline could make a verdict depend on
     // anything but the hashed inputs.
-    // A wall-clock budget makes truncation timing-dependent: such
-    // verdicts are not pure functions of the hashed inputs, so reuse is
-    // off entirely (mirrors the trace cache's wall-budget bypass).
-    let reuse_fingerprints = durable.cache.is_some()
-        && gate.faults.is_none()
-        && gate.deadline.is_none()
-        && config.budgets.rule_wall.is_none();
-    let prior = if reuse_fingerprints {
-        FingerprintFile::load(&durable.state_dir)
-    } else {
-        FingerprintFile::default()
+    let reuse_cache =
+        durable.cache.as_ref().filter(|_| gate.faults.is_none() && gate.deadline.is_none());
+    let prior = match reuse_cache {
+        Some(_) => FingerprintFile::load(&durable.state_dir),
+        None => FingerprintFile::default(),
     };
-    let deps = reuse_fingerprints.then(|| DepHasher::new(version, config, gate));
+    let deps = reuse_cache.map(|cache| DepHasher::new(version, config, gate, cache));
+
+    // One checker for the whole job: one pipeline, and one deadline that
+    // every rule checked below shares.
+    let checker = RuleChecker::new(version, config, gate, durable.cache.as_ref());
+    let mut checked = Vec::new();
 
     let mut reused = 0usize;
     let mut fresh = 0usize;
@@ -367,14 +376,10 @@ pub fn gate_durable(
             store.record_finished(outcome);
             cross_version += 1;
         } else {
-            // One rule at a time, in journal order, on this thread: the
-            // per-rule machinery (panic isolation, retries, budgets) is
-            // the gate engine on a singleton registry.
-            let mut single = RuleRegistry::new();
-            single.register(rule.clone());
-            let report = enforce_impl(&single, version, config, 1, gate, durable.cache.as_ref());
-            warnings.extend(report.warnings.iter().cloned());
-            store.record_finished(outcome_of(&report.reports[0]));
+            // One rule at a time, in journal order, on this thread.
+            let report = checker.check(rule);
+            store.record_finished(outcome_of(&report));
+            checked.push(report);
         }
         fresh += 1;
         if let Some(beat) = &durable.progress {
@@ -384,6 +389,16 @@ pub fn gate_durable(
     if durable.cancel.as_ref().is_some_and(|c| c.load(Ordering::SeqCst)) {
         return Err(StoreError::Cancelled);
     }
+
+    let outcomes: Vec<RuleOutcome> = registry
+        .rules()
+        .iter()
+        .filter_map(|r| store.state.finished_outcome(&r.id).cloned())
+        .collect();
+    let engine_errors = outcomes.iter().filter(|o| o.has_engine_error()).count();
+    let has_violation = outcomes.iter().any(|o| o.has_violation());
+    let decision = GateDecision::decide(has_violation, engine_errors, gate.fail_mode);
+    warnings.extend(checker.finish(&checked, decision, 1).warnings);
 
     // Persist this run's fingerprints so the *next* version can reuse
     // every rule whose dependencies it leaves untouched. Failures warn:
@@ -400,14 +415,6 @@ pub fn gate_durable(
         }
     }
 
-    let outcomes: Vec<RuleOutcome> = registry
-        .rules()
-        .iter()
-        .filter_map(|r| store.state.finished_outcome(&r.id).cloned())
-        .collect();
-    let engine_errors = outcomes.iter().filter(|o| o.has_engine_error()).count();
-    let has_violation = outcomes.iter().any(|o| o.has_violation());
-    let decision = GateDecision::decide(has_violation, engine_errors, gate.fail_mode);
     store.record_run_finished(&decision.to_string());
     warnings.extend(store.warnings.iter().cloned());
 

@@ -5,18 +5,21 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use lisa_analysis::TargetSpec;
 use lisa_concolic::{discover_tests, SystemVersion};
 use lisa_lang::Program;
 use lisa_oracle::SemanticRule;
-use lisa_store::StoreError;
-use lisa_util::fnv1a;
+use lisa_store::{RunState, StoreError};
+use lisa_util::{fnv1a, RetryPolicy};
 
 use super::durable::{gate_durable, run_key, sanitize, DurableOptions};
 use super::follower::parse_repl_addr;
 use super::supervisor::{verdict_response, Endpoint};
 use crate::enforce::{GateDecision, GateOptions, RuleRegistry};
+use crate::faults::{FaultInjector, FaultKind, FaultPlan};
+use crate::gate::Gate;
 use crate::json::Json;
 use crate::netloop::Addr;
 use crate::pipeline::{PipelineConfig, TestSelection};
@@ -189,6 +192,38 @@ fn progress_heartbeats_once_per_rule_including_reused() {
     assert_eq!(beats.load(Ordering::SeqCst), 2, "one heartbeat per fresh rule");
     gate_durable(&reg, &v, &config(), &gate, &durable).expect("rerun");
     assert_eq!(beats.load(Ordering::SeqCst), 4, "reused rules heartbeat too");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn one_deadline_covers_the_whole_durable_run() {
+    // The first rule stalls well past the deadline, so the second rule
+    // starts late: it must run degraded, exactly as it does when the
+    // in-memory gate checks the same registry at width 1.
+    let options = || {
+        let mut faults =
+            FaultInjector::new(FaultPlan::new().inject("ZK-1208-r0", FaultKind::Stall));
+        faults.stall = Duration::from_millis(300);
+        GateOptions {
+            deadline: Some(Duration::from_millis(100)),
+            retry: RetryPolicy::none(),
+            faults: Some(faults),
+            ..GateOptions::default()
+        }
+    };
+    let dir = tmpdir("deadline");
+    let reg = registry();
+    let v = version(false);
+    let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+    let report = gate_durable(&reg, &v, &config(), &options(), &durable).expect("run");
+    let journaled = RunState::read(&dir);
+    let second = journaled.finished_outcome("EXTRA-r0").expect("second rule journaled");
+    assert!(second.degraded, "the second rule starts past the job's deadline: {second:?}");
+
+    let in_memory = Gate::new(&reg).config(config()).workers(1).options(options()).run(&v);
+    let durable_flags: Vec<bool> = report.outcomes.iter().map(|o| o.degraded).collect();
+    let gate_flags: Vec<bool> = in_memory.reports.iter().map(|r| r.degraded).collect();
+    assert_eq!(durable_flags, gate_flags, "durable and in-memory gates degrade the same rules");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -26,10 +26,6 @@ impl ChainVerdict {
         matches!(self, ChainVerdict::Violated(_))
     }
 
-    pub fn is_engine_error(&self) -> bool {
-        matches!(self, ChainVerdict::EngineError { .. })
-    }
-
     pub fn label(&self) -> &'static str {
         match self {
             ChainVerdict::Verified => "verified",
@@ -88,8 +84,9 @@ pub struct RuleReport {
     /// Arrivals that matched no static chain (violating or not).
     pub unmatched_hits: u64,
     /// True when the rule was checked in degraded mode (fixed-path
-    /// sanity check instead of full exploration), e.g. after the gate
-    /// deadline expired or the harness wall budget truncated the batch.
+    /// sanity check instead of full exploration) or ran some of its tests
+    /// and queries under degraded budgets, because the gate deadline
+    /// expired before or during its check.
     pub degraded: bool,
     /// Retries the gate spent on this rule before it settled.
     pub retries: u32,

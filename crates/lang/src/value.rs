@@ -44,23 +44,9 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    pub fn as_ref_id(&self) -> Option<RefId> {
-        match self {
-            Value::Ref(r) => Some(*r),
             _ => None,
         }
     }

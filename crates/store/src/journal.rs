@@ -77,15 +77,6 @@ pub struct Scan {
     pub torn_bytes: usize,
 }
 
-impl Scan {
-    /// Total bytes of intact + corrupt frames (everything before the torn
-    /// tail).
-    pub fn framed_len(&self) -> u64 {
-        self.boundaries.last().copied().unwrap_or(0)
-            + self.corrupt.iter().map(|c| c.len() as u64).sum::<u64>()
-    }
-}
-
 /// Scan `bytes` as a journal. Corrupt frames are collected (framing is
 /// intact, so the scan resynchronizes at the next frame); a partial frame
 /// at the tail stops the scan.
@@ -298,11 +289,6 @@ impl Journal {
         }
         self.good_end += frame.len() as u64;
         Ok(())
-    }
-
-    /// Current journal length in bytes (end of the last good frame).
-    pub fn len_bytes(&self) -> u64 {
-        self.good_end
     }
 
     /// Truncate the file back to the last good frame boundary, discarding

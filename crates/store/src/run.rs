@@ -246,10 +246,6 @@ impl RunStore {
         &self.dir
     }
 
-    pub fn journal_path(&self) -> PathBuf {
-        self.dir.join(Self::JOURNAL)
-    }
-
     /// True while appends are still reaching disk.
     pub fn durable(&self) -> bool {
         self.journaling

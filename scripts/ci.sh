@@ -54,6 +54,14 @@ CACHE_STORAGE="$(no_pattern_outside_tests '(^|[^[:alnum:]_])(HashMap|Mutex)([^[:
     || { echo "cache tiers must store entries in ShardedMap, not their own HashMap/Mutex:"; echo "$CACHE_STORAGE"; exit 1; }
 echo "cache storage check: ok"
 
+# One rule-check engine: the durable gate checks each rule through the
+# gate's own per-rule unit (`RuleChecker`), so it may never re-enter the
+# gate on a one-rule registry again (that restarted the deadline per rule).
+SECOND_ENGINE="$(no_pattern_outside_tests 'RuleRegistry::new\(|enforce_impl\(' crates/core/src/service/durable.rs)"
+[ -z "$SECOND_ENGINE" ] \
+    || { echo "the durable gate must check rules through RuleChecker, not a second gate engine:"; echo "$SECOND_ENGINE"; exit 1; }
+echo "one rule-check engine check: ok"
+
 # Service modules depend one way: only `supervisor` imports the other
 # five, and none of them names it or its `Shared` state; the three data
 # modules (load, durable, stats) never touch the network loop. The

@@ -179,3 +179,40 @@ fn telemetry_never_perturbs_the_verdict_artifact() {
     let wal_on = std::fs::read(fx.dir.join("state-on/wal.log")).expect("on journal");
     assert_eq!(wal_off, wal_on, "journaled verdicts must be byte-identical");
 }
+
+#[test]
+fn durable_gate_counts_one_run_and_one_enforce_span_per_job() {
+    // A durable job checks both fixture rules under one gate run, not one
+    // gate run per rule.
+    let fx = Fixture::new("onerun");
+    let trace = fx.path("trace.json");
+    let metrics = fx.path("metrics.json");
+    let (code, _) = fx.run(&[
+        "gate",
+        "--system",
+        &fx.path("sys"),
+        "--rules",
+        &fx.path("rules.txt"),
+        "--state",
+        &fx.path("state"),
+        "--trace-out",
+        &trace,
+        "--metrics-out",
+        &metrics,
+    ]);
+    assert_eq!(code, 1, "the regressed version must block");
+
+    let metrics_text = std::fs::read_to_string(&metrics).expect("metrics file");
+    let parsed = Json::parse(&metrics_text).expect("metrics is valid JSON");
+    let counters = parsed.get("counters").expect("counters object");
+    assert_eq!(counters.u64_of("gate.runs"), Some(1), "{metrics_text}");
+
+    let trace_text = std::fs::read_to_string(&trace).expect("trace file");
+    let parsed = Json::parse(&trace_text).expect("trace is valid JSON");
+    let Some(Json::Arr(events)) = parsed.get("traceEvents") else {
+        panic!("no traceEvents array")
+    };
+    let enforce_spans =
+        events.iter().filter(|e| e.str_of("name") == Some("gate.enforce")).count();
+    assert_eq!(enforce_spans, 1, "one gate.enforce span per durable job");
+}
