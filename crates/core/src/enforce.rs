@@ -243,11 +243,12 @@ pub(crate) fn enforce_impl(
 /// drives it through [`run_rules`], the durable gate one rule at a time
 /// between journal records. One checker covers one gate run over one
 /// version, so the run has one [`Pipeline`], one `gate.enforce` span, one
-/// retry total and one latching [`DegradeSignal`]: the deadline spans the
-/// whole run, not each rule.
+/// retry total, one program fingerprint and one latching
+/// [`DegradeSignal`]: the deadline spans the whole run, not each rule.
 pub(crate) struct RuleChecker<'a> {
     version: &'a SystemVersion,
     pipeline: Pipeline,
+    program_fp: OnceLock<u64>,
     options: &'a GateOptions,
     degrade: DegradeSignal,
     retries: AtomicU64,
@@ -281,11 +282,18 @@ impl<'a> RuleChecker<'a> {
         RuleChecker {
             version,
             pipeline,
+            program_fp: OnceLock::new(),
             options,
             degrade: DegradeSignal::new(Instant::now(), options.deadline),
             retries: AtomicU64::new(0),
             span,
         }
+    }
+
+    /// The version's program fingerprint, taken on first use: at most
+    /// once per run, and not at all by a run that checks no rule.
+    pub(crate) fn program_fp(&self) -> u64 {
+        *self.program_fp.get_or_init(|| lisa_lang::fingerprint_program(&self.version.program))
     }
 
     /// Check one rule: past the run deadline as a degraded fixed-path
@@ -365,7 +373,10 @@ impl<'a> RuleChecker<'a> {
         let pipeline = effective_pipeline.as_ref().unwrap_or(&self.pipeline);
         // `degraded` (past the gate deadline) runs the cheap fixed-path
         // sanity check; the malformed-rule boundary applies either way.
-        panic_isolated(|| pipeline.try_check(self.version, rule, degraded, Some(&self.degrade)))?
+        let program_fp = pipeline.cache.is_some().then(|| self.program_fp());
+        panic_isolated(|| {
+            pipeline.try_check(self.version, rule, degraded, Some(&self.degrade), program_fp)
+        })?
     }
 
     /// Close the run over the `reports` this checker produced and the

@@ -110,7 +110,7 @@ impl Pipeline {
 
     /// Assert `rule` over `version`.
     pub fn check_rule(&self, version: &SystemVersion, rule: &SemanticRule) -> RuleReport {
-        self.check_rule_mode(version, rule, false, None)
+        self.check_rule_mode(version, rule, false, None, self.program_fp(version))
     }
 
     /// Result-based stage boundary for the gate: validate the rule before
@@ -121,7 +121,12 @@ impl Pipeline {
         version: &SystemVersion,
         rule: &SemanticRule,
     ) -> Result<RuleReport, LisaError> {
-        self.try_check(version, rule, false, None)
+        self.try_check(version, rule, false, None, self.program_fp(version))
+    }
+
+    /// The fingerprint every cache tier keys on; `None` without a cache.
+    fn program_fp(&self, version: &SystemVersion) -> Option<u64> {
+        self.cache.as_ref().map(|_| lisa_lang::fingerprint_program(&version.program))
     }
 
     /// The gate's entry point: [`Pipeline::try_check_rule`], or with
@@ -129,13 +134,16 @@ impl Pipeline {
     /// once its deadline has expired — one test, degraded budgets, report
     /// marked [`RuleReport::degraded`] — which only needs a parseable
     /// condition. Past the `degrade` deadline, the rule's remaining tests
-    /// and queries run under degraded budgets.
+    /// and queries run under degraded budgets. `program_fp` is the
+    /// caller's `fingerprint_program(&version.program)`, taken once per
+    /// gate run; without it every artifact is computed uncached.
     pub(crate) fn try_check(
         &self,
         version: &SystemVersion,
         rule: &SemanticRule,
         degraded_mode: bool,
         degrade: Option<&DegradeSignal>,
+        program_fp: Option<u64>,
     ) -> Result<RuleReport, LisaError> {
         if let Err(e) = lisa_smt::parse_cond(&rule.condition_src) {
             return Err(LisaError::MalformedRule {
@@ -149,7 +157,7 @@ impl Pipeline {
                 detail: "empty target callee".to_string(),
             });
         }
-        Ok(self.check_rule_mode(version, rule, degraded_mode, degrade))
+        Ok(self.check_rule_mode(version, rule, degraded_mode, degrade, program_fp))
     }
 
     fn check_rule_mode(
@@ -158,6 +166,7 @@ impl Pipeline {
         rule: &SemanticRule,
         degraded_mode: bool,
         degrade: Option<&DegradeSignal>,
+        program_fp: Option<u64>,
     ) -> RuleReport {
         let started = Instant::now();
         let mut rule_span = lisa_telemetry::span_with("pipeline.rule", rule.id.clone());
@@ -165,9 +174,8 @@ impl Pipeline {
         let metrics_on = lisa_telemetry::metrics_enabled();
         let mut stats = PipelineStats::default();
         let program = &version.program;
-        // Fingerprint once per rule check; every cache below keys on it.
+        // Every cache below keys on the caller's program fingerprint.
         let cache = self.cache.as_deref();
-        let program_fp = cache.map(|_| lisa_lang::fingerprint_program(program));
         let t_callgraph = Instant::now();
         let graph: Arc<CallGraph> = match (cache, program_fp) {
             (Some(c), Some(fp)) => c.analysis().callgraph(fp, || CallGraph::build(program)),
@@ -710,7 +718,8 @@ mod tests {
             selection: TestSelection::All,
             ..PipelineConfig::default()
         });
-        let report = pipeline.try_check(&version(), &rule(), true, None).expect("well-formed");
+        let report =
+            pipeline.try_check(&version(), &rule(), true, None, None).expect("well-formed");
         assert!(report.degraded);
         assert!(report.tests_selected.len() <= 1, "{:?}", report.tests_selected);
     }

@@ -127,18 +127,18 @@ struct DepHasher {
 }
 
 impl DepHasher {
-    /// The call graph comes from `cache`, so the durable run's rule checks
-    /// reuse it instead of building their own.
+    /// The call graph comes from `cache` under the run's `program_fp`
+    /// (the [`RuleChecker`]'s), so the durable run's rule checks reuse it
+    /// instead of building their own.
     fn new(
         version: &SystemVersion,
         config: &PipelineConfig,
         gate: &GateOptions,
         cache: &GateCache,
+        program_fp: u64,
     ) -> DepHasher {
         let program = &version.program;
-        let graph = cache
-            .analysis()
-            .callgraph(lisa_lang::fingerprint_program(program), || CallGraph::build(program));
+        let graph = cache.analysis().callgraph(program_fp, || CallGraph::build(program));
         let mut base = Fnv1a::new();
         base.part_u64(lisa_lang::fingerprint_decls(&version.program));
         for t in &version.tests {
@@ -213,7 +213,7 @@ impl DepHasher {
 /// Where and how a durable run persists its state.
 #[derive(Default)]
 pub struct DurableOptions {
-    /// Directory holding the run's journal and snapshot.
+    /// Directory holding the run's journal and fingerprint file.
     pub state_dir: PathBuf,
     /// Disk fault injection at the store's I/O seams (E11, tests).
     pub disk_faults: Option<Arc<dyn IoFaults>>,
@@ -231,9 +231,9 @@ pub struct DurableOptions {
     /// file beside the journal (skipped whenever faults or a deadline
     /// make verdicts non-reproducible).
     pub cache: Option<Arc<GateCache>>,
-    /// Replication publisher: when attached, every durable mutation of
-    /// this run (append, snapshot, reset) is also shipped to subscribed
-    /// followers.
+    /// Replication publisher: when attached, every file this run's
+    /// store writes (journal appends, fingerprint file, stale-run
+    /// archive) is also shipped to subscribed followers.
     pub repl: Option<Arc<ReplBus>>,
 }
 
@@ -340,16 +340,15 @@ pub fn gate_durable(
     // anything but the hashed inputs.
     let reuse_cache =
         durable.cache.as_ref().filter(|_| gate.faults.is_none() && gate.deadline.is_none());
-    let prior = match reuse_cache {
-        Some(_) => FingerprintFile::load(&durable.state_dir),
-        None => FingerprintFile::default(),
-    };
-    let deps = reuse_cache.map(|cache| DepHasher::new(version, config, gate, cache));
 
     // One checker for the whole job: one pipeline, and one deadline that
     // every rule checked below shares.
     let checker = RuleChecker::new(version, config, gate, durable.cache.as_ref());
     let mut checked = Vec::new();
+    // The dependency hasher and the prior fingerprint file, built at the
+    // first rule the journal has not settled: a settled resubmit reads
+    // and hashes nothing.
+    let mut reuse: Option<(DepHasher, FingerprintFile)> = None;
 
     let mut reused = 0usize;
     let mut fresh = 0usize;
@@ -366,10 +365,13 @@ pub fn gate_durable(
             continue;
         }
         store.record_started(&rule.id);
-        let prior_outcome = deps
-            .as_ref()
-            .and_then(|d| prior.reusable(&rule.id, d.dep_hash(rule)))
-            .cloned();
+        let prior_outcome = reuse_cache.and_then(|cache| {
+            let (deps, prior) = reuse.get_or_insert_with(|| {
+                let deps = DepHasher::new(version, config, gate, cache, checker.program_fp());
+                (deps, FingerprintFile::load(store.dir()))
+            });
+            prior.reusable(&rule.id, deps.dep_hash(rule)).cloned()
+        });
         if let Some(outcome) = prior_outcome {
             // Same records a re-check would journal: the wal stays
             // byte-identical to an uncached run's.
@@ -401,21 +403,29 @@ pub fn gate_durable(
     warnings.extend(checker.finish(&checked, decision, 1).warnings);
 
     // Persist this run's fingerprints so the *next* version can reuse
-    // every rule whose dependencies it leaves untouched. Failures warn:
-    // the fingerprint file is an optimization, the journal is the truth.
-    if let Some(d) = &deps {
+    // every rule whose dependencies it leaves untouched. Only a run that
+    // settled a rule has a hasher, so a settled resubmit rewrites
+    // nothing. Failures warn: the fingerprint file is an optimization,
+    // the journal is the truth.
+    if let Some((deps, _)) = &reuse {
         let mut next = FingerprintFile::default();
         for rule in registry.rules() {
             if let Some(o) = store.state.finished_outcome(&rule.id) {
-                next.insert(d.dep_hash(rule), o.clone());
+                next.insert(deps.dep_hash(rule), o.clone());
             }
         }
-        if let Err(e) = next.save(&durable.state_dir) {
+        if let Err(e) = store.save_fingerprints(&next) {
             warnings.push(format!("fingerprint file not saved ({e}); next run re-checks"));
         }
     }
 
-    store.record_run_finished(&decision.to_string());
+    // Journal the decision only when it is a new fact: a resubmit under
+    // the same fail mode appends nothing, one under another mode records
+    // the decision it reached.
+    let decided = decision.to_string();
+    if store.state.decision.as_deref() != Some(decided.as_str()) {
+        store.record_run_finished(&decided);
+    }
     warnings.extend(store.warnings.iter().cloned());
 
     run_span.arg("rules", registry.rules().len() as u64);

@@ -17,9 +17,9 @@ use lisa_util::{fnv1a, RetryPolicy};
 use super::durable::{gate_durable, run_key, sanitize, DurableOptions};
 use super::follower::parse_repl_addr;
 use super::supervisor::{verdict_response, Endpoint};
-use crate::enforce::{GateDecision, GateOptions, RuleRegistry};
+use crate::enforce::{FailMode, GateDecision, GateOptions, RuleRegistry};
 use crate::faults::{FaultInjector, FaultKind, FaultPlan};
-use crate::gate::Gate;
+use crate::gate::{Gate, GateCache};
 use crate::json::Json;
 use crate::netloop::Addr;
 use crate::pipeline::{PipelineConfig, TestSelection};
@@ -115,6 +115,68 @@ fn durable_run_resumes_and_reuses_verdicts() {
     assert_eq!(resumed.reused, 2);
     assert_eq!(resumed.fresh, 0);
     assert_eq!(resumed.verdicts_text(), full.verdicts_text());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn settled_resubmit_writes_nothing() {
+    use std::os::unix::fs::MetadataExt;
+    let dir = tmpdir("settled");
+    let reg = registry();
+    let v = version(false);
+    let gate = GateOptions::default();
+    let durable = DurableOptions {
+        state_dir: dir.clone(),
+        cache: Some(Arc::new(GateCache::new())),
+        ..DurableOptions::default()
+    };
+    let first = gate_durable(&reg, &v, &config(), &gate, &durable).expect("run");
+    assert_eq!(first.fresh, reg.len());
+    let wal = std::fs::read(dir.join("wal.log")).expect("wal");
+    let ino = std::fs::metadata(dir.join("fingerprints.log")).expect("fingerprints").ino();
+
+    let again = gate_durable(&reg, &v, &config(), &gate, &durable).expect("resubmit");
+    assert_eq!((again.reused, again.fresh), (reg.len(), 0));
+    assert_eq!(again.verdicts_text(), first.verdicts_text());
+    let after = std::fs::read(dir.join("wal.log")).expect("wal");
+    assert!(
+        after == wal,
+        "a settled resubmit must not append to the journal: {} -> {} bytes",
+        wal.len(),
+        after.len()
+    );
+    assert_eq!(
+        std::fs::metadata(dir.join("fingerprints.log")).expect("fingerprints").ino(),
+        ino,
+        "a settled resubmit must not rewrite the fingerprint file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resubmit_under_another_fail_mode_journals_its_decision() {
+    let dir = tmpdir("refail");
+    let reg = registry();
+    let v = version(true);
+    let durable = DurableOptions { state_dir: dir.clone(), ..DurableOptions::default() };
+    // Run 1: the first rule's check panics; fail-closed blocks on it.
+    let closed = GateOptions {
+        fail_mode: FailMode::Closed,
+        retry: RetryPolicy::none(),
+        faults: Some(FaultInjector::new(
+            FaultPlan::new().inject("ZK-1208-r0", FaultKind::Panic),
+        )),
+        ..GateOptions::default()
+    };
+    let first = gate_durable(&reg, &v, &config(), &closed, &durable).expect("run");
+    assert_eq!(first.decision, GateDecision::Block);
+    assert_eq!(first.engine_errors(), 1);
+    // Run 2 reuses the journaled engine error but decides fail-open.
+    let open = GateOptions { fail_mode: FailMode::Open, ..GateOptions::default() };
+    let second = gate_durable(&reg, &v, &config(), &open, &durable).expect("resubmit");
+    assert_eq!((second.reused, second.fresh), (reg.len(), 0));
+    assert_eq!(second.decision, GateDecision::Pass);
+    assert_eq!(RunState::read(&dir).decision, Some(second.decision.to_string()));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

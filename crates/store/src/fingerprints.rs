@@ -10,17 +10,17 @@
 //! the next version dirties one function, only rules whose dependency
 //! hash moved are re-explored; the rest reuse their recorded outcome.
 //!
-//! The file is a single atomically-replaced snapshot
-//! ([`crate::write_atomic`]): checksummed and framed, so a torn or
-//! corrupt file simply reads as absent and every rule re-runs — at worst
-//! slow, never wrong.
+//! The file is one atomically replaced frame, written only by
+//! [`crate::RunStore::save_fingerprints`] (which also publishes it to
+//! followers): checksummed, so a torn or corrupt file simply reads as
+//! absent and every rule re-runs — at worst slow, never wrong.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use crate::codec::{decode, field};
 use crate::event::{decode_outcome, encode_outcome, RuleOutcome};
-use crate::journal::{read_atomic, write_atomic};
+use crate::journal::read_atomic;
 
 /// On-disk file name, beside `wal.log` in the run's state directory.
 pub const FINGERPRINTS: &str = "fingerprints.log";
@@ -67,13 +67,10 @@ impl FingerprintFile {
         FingerprintFile { entries }
     }
 
-    /// Atomically replace the fingerprint file in `dir`.
-    pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let mut lines = Vec::with_capacity(self.entries.len());
-        for fp in self.entries.values() {
-            lines.push(String::from_utf8_lossy(&encode_entry(fp)).into_owned());
-        }
-        write_atomic(&Self::path(dir), lines.join("\n").as_bytes())
+    /// The file's payload: one encoded entry per line, in rule-id order.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let lines: Vec<Vec<u8>> = self.entries.values().map(encode_entry).collect();
+        lines.join(&b'\n')
     }
 
     /// The recorded outcome for `rule_id`, but only when its dependency
@@ -107,6 +104,11 @@ fn decode_entry(payload: &[u8]) -> Result<(u64, RuleFingerprint), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::write_atomic;
+
+    fn save(file: &FingerprintFile, dir: &Path) {
+        write_atomic(&dir.join(FINGERPRINTS), &file.encode()).unwrap();
+    }
 
     fn outcome(rule_id: &str) -> RuleOutcome {
         RuleOutcome {
@@ -129,7 +131,7 @@ mod tests {
         let mut file = FingerprintFile::default();
         file.insert(0xabc, outcome("R1"));
         file.insert(0xdef, outcome("R2"));
-        file.save(&dir).unwrap();
+        save(&file, &dir);
         let loaded = FingerprintFile::load(&dir);
         assert_eq!(loaded, file);
         assert!(loaded.reusable("R1", 0xabc).is_some());
@@ -156,7 +158,7 @@ mod tests {
         o.fingerprint = "line one\nline two\ttabbed\neq=sign".to_string();
         let mut file = FingerprintFile::default();
         file.insert(7, o);
-        file.save(&dir).unwrap();
+        save(&file, &dir);
         assert_eq!(FingerprintFile::load(&dir), file);
         std::fs::remove_dir_all(&dir).unwrap();
     }

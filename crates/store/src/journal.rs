@@ -1,4 +1,4 @@
-//! Checksummed append-only write-ahead journal + atomic snapshots.
+//! Checksummed append-only write-ahead journal + atomic whole-file writes.
 //!
 //! Frame layout per record: `len: u32 LE | crc: u64 LE | payload`, where
 //! `crc` is FNV-1a over the payload. Recovery semantics on open:
@@ -291,19 +291,7 @@ impl Journal {
         Ok(())
     }
 
-    /// Truncate the file back to the last good frame boundary, discarding
-    /// any torn bytes a failed [`Journal::append`] left behind. Callers
-    /// that keep appending after a failed append must repair first:
-    /// records written after a torn frame are unreachable to `scan` (it
-    /// stops at the tear), so they would be acknowledged and then
-    /// silently lost on the next open.
-    pub fn repair_tail(&mut self) -> io::Result<()> {
-        self.file.set_len(self.good_end)?;
-        self.file.sync_data()?;
-        Ok(())
-    }
-
-    /// Discard all records (used after a checkpoint has absorbed them).
+    /// Discard all records (used when a stale run is archived).
     pub fn reset(&mut self) -> io::Result<()> {
         self.file.set_len(0)?;
         self.file.sync_data()?;
@@ -313,9 +301,10 @@ impl Journal {
 }
 
 /// Write `payload` to `path` atomically as one checksummed frame:
-/// write-temp + fsync + rename, so readers observe either the old
-/// snapshot or the new one, never a partial write.
-pub fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
+/// write-temp + fsync + rename, so readers observe either the old file
+/// or the new one, never a partial write. Counted as a store snapshot.
+/// Crate-private: job files are written through [`crate::RunStore`].
+pub(crate) fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
     let mut span = lisa_telemetry::span_with(
         "store.snapshot",
         path.file_name().and_then(|n| n.to_str()).unwrap_or("").to_string(),
@@ -336,14 +325,14 @@ pub fn write_atomic(path: &Path, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Write raw `bytes` to `path` atomically (write-temp + fsync + rename),
-/// with no framing added. Used by compaction and by replication, where
-/// the bytes being installed are already a framed journal or snapshot
-/// and must land byte-identical to the leader's copy.
+/// with no framing added. Used by compaction, stale-run archival and
+/// replication, where the bytes being installed are already framed and
+/// must land byte-identical to the leader's copy.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    // Unique temp name per write: `rules.snap` and `rules.log` live in
-    // the same directory, and another process may be checkpointing the
-    // same store — a shared `.tmp` name would let one writer clobber the
-    // other's half-written frame and rename garbage into place.
+    // Unique temp name per write: several files share a directory, and
+    // another process may be writing the same file — a shared `.tmp`
+    // name would let one writer clobber the other's half-written frame
+    // and rename garbage into place.
     static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
     let file_name = path.file_name().and_then(|n| n.to_str()).unwrap_or("store");
     let tmp = path.with_file_name(format!(
@@ -371,9 +360,9 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     Ok(())
 }
 
-/// Read an atomic snapshot written by [`write_atomic`]. Returns `None`
-/// when the file is absent *or* fails its checksum — a corrupt snapshot
-/// is ignored, never trusted.
+/// Read a file written by [`write_atomic`]. Returns `None` when the file
+/// is absent *or* fails its checksum — a corrupt file is ignored, never
+/// trusted.
 pub fn read_atomic(path: &Path) -> Option<Vec<u8>> {
     let mut bytes = Vec::new();
     File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
@@ -527,10 +516,10 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_and_corruption_rejection() {
         let dir = tmpdir("snap");
-        let path = dir.join("state.snap");
+        let path = dir.join("fingerprints.log");
         write_atomic(&path, b"snapshot-state").expect("write");
         assert_eq!(read_atomic(&path).as_deref(), Some(b"snapshot-state".as_slice()));
-        // Corrupt one byte: the snapshot must be ignored, not trusted.
+        // Corrupt one byte: the file must be ignored, not trusted.
         let mut raw = std::fs::read(&path).expect("read");
         let last = raw.len() - 1;
         raw[last] ^= 0x01;
@@ -545,36 +534,6 @@ mod tests {
         fn on_append(&self, len: usize) -> Option<IoFault> {
             Some(IoFault::Torn { keep: len / 2 })
         }
-    }
-
-    struct TornOnce(std::sync::atomic::AtomicUsize);
-    impl IoFaults for TornOnce {
-        fn on_append(&self, len: usize) -> Option<IoFault> {
-            if self.0.fetch_add(1, Ordering::Relaxed) == 0 {
-                Some(IoFault::Torn { keep: len / 2 })
-            } else {
-                None
-            }
-        }
-    }
-
-    #[test]
-    fn repair_tail_makes_post_failure_appends_reachable() {
-        let dir = tmpdir("repair");
-        let path = dir.join("wal");
-        {
-            let (mut j, _) = Journal::open(&path, Some(Arc::new(TornOnce(Default::default()))))
-                .expect("open");
-            assert!(j.append(b"torn").is_err());
-            // Without the repair, this record would sit behind the torn
-            // frame and be dropped by the next open's scan.
-            j.repair_tail().expect("repair");
-            j.append(b"kept").expect("append after repair");
-        }
-        let (_, report) = Journal::open(&path, None).expect("reopen");
-        assert_eq!(report.records, vec![b"kept".to_vec()]);
-        assert_eq!(report.truncated_bytes, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -8,16 +8,19 @@
 //!
 //! - [`journal`] — a checksummed, append-only write-ahead journal with
 //!   torn-tail truncation, per-record quarantine of corrupt frames, and
-//!   atomic (write-temp + fsync + rename) snapshot checkpoints. I/O
-//!   faults are injectable at every seam via [`IoFaults`].
+//!   atomic (write-temp + fsync + rename) whole-file writes. I/O faults
+//!   are injectable at every seam via [`IoFaults`].
 //! - [`event`] — the gate event vocabulary (run started, check
 //!   started/finished, run verdict) and its self-describing text codec.
-//! - [`run`] — per-run recovery: replaying journal + snapshot yields the
-//!   set of already-settled rule verdicts, so a killed gate run resumes
-//!   without re-checking them.
+//! - [`run`] — per-run recovery: replaying the journal yields the set of
+//!   already-settled rule verdicts, so a killed gate run resumes without
+//!   re-checking them. [`RunStore`] is the only writer of a job
+//!   directory (journal, fingerprint file, stale-run archive).
+//! - [`fingerprints`] — per-rule dependency hashes and outcomes, the
+//!   sieve for cross-version reuse.
 //! - [`codec`] — the escaped `key=value` field codec all records share.
-//! - [`repl`] — leader→follower journal shipping: a publisher bus fed by
-//!   the store's mutation seams, a CRC'd wire frame codec (same envelope
+//! - [`repl`] — leader→follower shipping: a publisher bus fed by every
+//!   file write of [`RunStore`], a CRC'd wire frame codec (same envelope
 //!   as the on-disk journal), and a path-confined applier that mirrors
 //!   the leader's state root byte-for-byte onto a warm spare.
 //!
@@ -37,8 +40,7 @@ pub mod run;
 pub use event::{GateEvent, RuleOutcome};
 pub use fingerprints::{FingerprintFile, RuleFingerprint};
 pub use journal::{
-    read_atomic, scan, write_atomic, write_file_atomic, IoFault, IoFaults, Journal, OpenReport,
-    Scan,
+    read_atomic, scan, write_file_atomic, IoFault, IoFaults, Journal, OpenReport, Scan,
 };
 pub use repl::{
     decode_wire, encode_wire, Applier, BusPoll, FrameDecoder, ReplBus, ReplEvent, StreamFault,

@@ -2,8 +2,9 @@
 //!
 //! The store layer is single-node; this module makes its *state*
 //! replicable. A leader publishes every durable mutation of its state
-//! root — journal record appends, atomic file (snapshot) writes, journal
-//! resets — onto a [`ReplBus`]; subscribers (followers) receive those
+//! root — journal record appends, atomic whole-file writes (the
+//! fingerprint file, a stale run's archived journal), journal resets —
+//! onto a [`ReplBus`]; subscribers (followers) receive those
 //! mutations as length-prefixed, CRC'd wire frames and apply them into
 //! their own state root with an [`Applier`]. Because the follower's root
 //! is maintained as a byte-faithful mirror of the leader's journals, a
@@ -67,11 +68,12 @@ const MAX_PATH: usize = 512;
 /// *relative* to the state root on both sides.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplEvent {
-    /// Replace the whole file atomically (initial sync, checkpoints).
+    /// Replace the whole file atomically (initial sync, fingerprint file,
+    /// archived stale journal).
     FileSnapshot { path: String, data: Vec<u8> },
     /// Append one journal record (the payload, not the framed bytes).
     Append { path: String, record: Vec<u8> },
-    /// Truncate a journal to empty (checkpoint absorbed it).
+    /// Truncate a journal to empty (its stale run was archived).
     Reset { path: String },
 }
 
@@ -599,7 +601,7 @@ mod tests {
             Wire::Event {
                 seq: 7,
                 event: ReplEvent::FileSnapshot {
-                    path: "job/state.snap".into(),
+                    path: "job/fingerprints.log".into(),
                     data: vec![0, 1, 2, 255],
                 },
             },
@@ -706,9 +708,9 @@ mod tests {
             assert!(applier.apply(&ev).is_err(), "{bad:?} must be refused");
         }
         // A normal nested path is fine.
-        let ev = ReplEvent::FileSnapshot { path: "job-1/state.snap".into(), data: vec![7] };
+        let ev = ReplEvent::FileSnapshot { path: "job-1/fingerprints.log".into(), data: vec![7] };
         applier.apply(&ev).expect("safe path applies");
-        assert_eq!(std::fs::read(dir.join("job-1/state.snap")).expect("read"), vec![7]);
+        assert_eq!(std::fs::read(dir.join("job-1/fingerprints.log")).expect("read"), vec![7]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,5 @@
-//! Per-run recovery state: journal + snapshot → the set of settled
-//! verdicts a resumed gate run does not need to recompute.
+//! Per-run recovery state: journal replay → the set of settled verdicts
+//! a resumed gate run does not need to recompute.
 //!
 //! Invariants (DESIGN.md §10):
 //!
@@ -9,16 +9,18 @@
 //!    which at worst re-checks a rule).
 //! 2. **Replay idempotence** — applying a journal twice yields the same
 //!    state as once (`RuleCheckFinished` replaces by rule id).
-//! 3. **Checkpoint equivalence** — snapshot + tail replay ≡ full-journal
-//!    replay (the snapshot *is* an encoded event sequence).
-//! 4. **Key isolation** — a journal written under a different
+//! 3. **Key isolation** — a journal written under a different
 //!    `run_key` (other version or rule set) is archived, never replayed.
+//!
+//! [`RunStore`] is the only writer of a job directory, and it publishes
+//! every file it writes when a replication bus is attached.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::event::{GateEvent, RuleOutcome};
-use crate::journal::{read_atomic, scan, write_atomic, IoFaults, Journal};
+use crate::fingerprints::{FingerprintFile, FINGERPRINTS};
+use crate::journal::{frame, scan, write_atomic, write_file_atomic, IoFaults, Journal};
 use crate::repl::ReplBus;
 use crate::StoreError;
 
@@ -81,87 +83,40 @@ impl RunState {
         self.finished.iter().find(|o| o.rule_id == rule_id)
     }
 
-    /// Encode the state as a snapshot payload: a framed event sequence,
-    /// so snapshot decoding *is* journal replay (invariant 3 by
-    /// construction).
-    pub fn to_snapshot(&self) -> Vec<u8> {
-        let mut events = Vec::new();
-        if let Some(key) = &self.run_key {
-            events.push(GateEvent::RunStarted { run_key: key.clone() });
-        }
-        for id in &self.started {
-            events.push(GateEvent::RuleCheckStarted { rule_id: id.clone() });
-        }
-        for o in &self.finished {
-            events.push(GateEvent::RuleCheckFinished { outcome: o.clone() });
-        }
-        if let Some(d) = &self.decision {
-            events.push(GateEvent::RunFinished { decision: d.clone() });
-        }
-        let mut bytes = Vec::new();
-        for e in &events {
-            bytes.extend_from_slice(&crate::journal::frame(&e.encode()));
-        }
-        bytes
-    }
-
-    /// Decode a snapshot payload produced by [`RunState::to_snapshot`].
-    pub fn from_snapshot(payload: &[u8]) -> RunState {
-        let scanned = scan(payload);
-        RunState::replay(scanned.records.iter().map(|r| r.as_slice()))
-    }
-
-    /// The recovery read: the snapshot in `dir`, then `journal` records
-    /// replayed on top. An absent or corrupt snapshot reads as empty.
-    pub fn recover<'a>(dir: &Path, journal: impl IntoIterator<Item = &'a [u8]>) -> RunState {
-        let mut state = match read_atomic(&dir.join(RunStore::SNAPSHOT)) {
-            Some(payload) => RunState::from_snapshot(&payload),
-            None => RunState::default(),
-        };
-        for record in journal {
-            if let Ok(event) = GateEvent::decode(record) {
-                state.apply(&event);
-            }
-        }
-        state
-    }
-
-    /// [`RunState::recover`] without opening the journal for writing: no
+    /// The journal in `dir`, replayed without opening it for writing: no
     /// truncation, no quarantine, so it is safe on a directory another
     /// process is still writing or mirroring. Torn or corrupt records are
     /// simply not counted.
     pub fn read(dir: &Path) -> RunState {
         let bytes = std::fs::read(dir.join(RunStore::JOURNAL)).unwrap_or_default();
-        RunState::recover(dir, scan(&bytes).records.iter().map(Vec::as_slice))
+        RunState::replay(scan(&bytes).records.iter().map(Vec::as_slice))
     }
 }
 
-/// Durable store for one gate run: a write-ahead journal plus an atomic
-/// snapshot checkpoint, rooted at a directory.
+/// Durable store for one gate run, rooted at its job directory: the
+/// write-ahead journal, the fingerprint file beside it, and the archive
+/// of a stale run's journal.
 pub struct RunStore {
     dir: PathBuf,
     journal: Journal,
     /// Set false after the first append failure: the run continues in
     /// memory (availability over durability) and the caller is warned.
     journaling: bool,
-    /// When attached, every durable mutation is also published for
-    /// follower shipping. Publishing mirrors the *in-memory* state, so a
-    /// leader degraded to memory-only still keeps its followers current.
+    /// When attached, every file write is also published for follower
+    /// shipping. Appends mirror the *in-memory* state, so a leader
+    /// degraded to memory-only still keeps its followers current.
     repl: Option<Arc<ReplBus>>,
     pub state: RunState,
     pub warnings: Vec<String>,
-    /// Records recovered from disk on open (journal tail only, excluding
-    /// the snapshot).
+    /// Records recovered from the journal on open.
     pub recovered_records: usize,
 }
 
 impl RunStore {
-    /// Snapshot file name inside a run's state directory.
-    pub const SNAPSHOT: &'static str = "state.snap";
     /// Write-ahead journal file name inside a run's state directory.
     pub const JOURNAL: &'static str = "wal.log";
 
-    /// Open the store for `run_key`, replaying snapshot + journal. State
+    /// Open the store for `run_key`, replaying the journal. State
     /// journaled under a *different* key is archived (`*.stale`) and a
     /// fresh run is started.
     pub fn open(
@@ -172,8 +127,8 @@ impl RunStore {
         RunStore::open_replicated(dir, run_key, faults, None)
     }
 
-    /// [`RunStore::open`] with a replication bus attached: every append,
-    /// checkpoint, and reset is also published for follower shipping.
+    /// [`RunStore::open`] with a replication bus attached: every file the
+    /// store writes is also published for follower shipping.
     pub fn open_replicated(
         dir: impl Into<PathBuf>,
         run_key: &str,
@@ -183,7 +138,7 @@ impl RunStore {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let (journal, report) = Journal::open(dir.join(Self::JOURNAL), faults)?;
-        let state = RunState::recover(&dir, report.records.iter().map(Vec::as_slice));
+        let state = RunState::replay(report.records.iter().map(Vec::as_slice));
         let mut store = RunStore {
             dir,
             journal,
@@ -219,25 +174,22 @@ impl RunStore {
         Ok(store)
     }
 
+    /// Archive a stale run: copy the journal to `wal.log.stale`, then
+    /// empty it. Followers get both the archive and the reset, and the
+    /// `RunStarted` that follows starts the fresh run on both sides.
     fn archive_stale(&mut self) -> Result<(), StoreError> {
         let wal = self.dir.join(Self::JOURNAL);
         if let Ok(bytes) = std::fs::read(&wal) {
-            if !bytes.is_empty() {
-                let _ = std::fs::write(self.dir.join("wal.log.stale"), &bytes);
+            let stale = self.dir.join("wal.log.stale");
+            if !bytes.is_empty() && write_file_atomic(&stale, &bytes).is_ok() {
+                if let Some(bus) = &self.repl {
+                    bus.publish_file(&stale, &bytes);
+                }
             }
         }
         self.journal.reset()?;
-        let snap = self.dir.join(Self::SNAPSHOT);
-        if snap.exists() {
-            let _ = std::fs::rename(&snap, self.dir.join("state.snap.stale"));
-        }
         if let Some(bus) = &self.repl {
-            // Mirror the archival on followers by emptying both files: an
-            // empty snapshot reads as absent, an empty journal replays
-            // nothing, and the RunStarted that follows starts the fresh
-            // run on both sides.
-            bus.publish_reset(&self.dir.join(Self::JOURNAL));
-            bus.publish_reset(&snap);
+            bus.publish_reset(&wal);
         }
         Ok(())
     }
@@ -285,23 +237,14 @@ impl RunStore {
         self.append(&GateEvent::RunFinished { decision: decision.to_string() });
     }
 
-    /// Checkpoint: write the current state as an atomic snapshot and
-    /// truncate the journal it absorbs. Crash-safe at every point — the
-    /// rename is atomic and the journal is only reset after the snapshot
-    /// is durable.
-    pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        let payload = self.state.to_snapshot();
-        let snap = self.dir.join(Self::SNAPSHOT);
-        write_atomic(&snap, &payload)?;
+    /// Atomically replace the job's fingerprint file with `file`, and
+    /// publish the on-disk bytes so a follower's copy is byte-identical.
+    pub fn save_fingerprints(&self, file: &FingerprintFile) -> std::io::Result<()> {
+        let path = self.dir.join(FINGERPRINTS);
+        let payload = file.encode();
+        write_atomic(&path, &payload)?;
         if let Some(bus) = &self.repl {
-            // Ship the on-disk bytes (the framed payload) so the
-            // follower's snapshot is byte-identical, then the reset in
-            // the same order the leader applied them.
-            bus.publish_file(&snap, &crate::journal::frame(&payload));
-        }
-        self.journal.reset()?;
-        if let Some(bus) = &self.repl {
-            bus.publish_reset(&self.dir.join(Self::JOURNAL));
+            bus.publish_file(&path, &frame(&payload));
         }
         Ok(())
     }
@@ -365,29 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_then_tail_equals_full_history() {
-        let dir = tmpdir("ckpt");
-        {
-            let mut store = RunStore::open(&dir, "k", None).expect("open");
-            store.record_finished(outcome("A", 0));
-            store.record_finished(outcome("B", 1));
-            store.checkpoint().expect("checkpoint");
-            // Journal now empty; tail events follow the snapshot.
-            store.record_finished(outcome("B", 0)); // replaced in place
-            store.record_finished(outcome("C", 2));
-            store.record_run_finished("BLOCK");
-        }
-        let store = RunStore::open(&dir, "k", None).expect("reopen");
-        assert_eq!(store.state.finished_outcome("A"), Some(&outcome("A", 0)));
-        assert_eq!(store.state.finished_outcome("B"), Some(&outcome("B", 0)));
-        assert_eq!(store.state.finished_outcome("C"), Some(&outcome("C", 2)));
-        assert_eq!(store.state.decision.as_deref(), Some("BLOCK"));
-        let ids: Vec<&str> = store.state.finished.iter().map(|o| o.rule_id.as_str()).collect();
-        assert_eq!(ids, vec!["A", "B", "C"], "replace-in-place keeps order");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn replicated_store_mirrors_state_onto_a_follower_root() {
         use crate::repl::{decode_wire, Applier, BusPoll, ReplBus, Wire};
         use std::time::Duration;
@@ -397,11 +317,19 @@ mod tests {
         let job_dir = leader_root.join("job-1");
         let bus = ReplBus::new(&leader_root);
         {
+            // A run under an older key first, so the new run archives it.
+            let mut stale = RunStore::open_replicated(&job_dir, "k-old", None, Some(bus.clone()))
+                .expect("open stale");
+            stale.record_finished(outcome("A", 1));
+        }
+        {
             let mut store =
                 RunStore::open_replicated(&job_dir, "k", None, Some(bus.clone())).expect("open");
             store.record_started("A");
             store.record_finished(outcome("A", 0));
-            store.checkpoint().expect("checkpoint");
+            let mut fps = FingerprintFile::default();
+            fps.insert(0xa, outcome("A", 0));
+            store.save_fingerprints(&fps).expect("save fingerprints");
             store.record_started("B");
             store.record_finished(outcome("B", 1));
             store.record_run_finished("BLOCK");
@@ -418,16 +346,14 @@ mod tests {
             }
             other => panic!("expected frames, got {other:?}"),
         }
-        // Snapshot bytes must mirror exactly; the journal tails may
-        // differ only if the leader compacted (it did not here).
-        assert_eq!(
-            std::fs::read(job_dir.join("state.snap")).expect("leader snap"),
-            std::fs::read(follower_root.join("job-1/state.snap")).expect("follower snap"),
-        );
-        assert_eq!(
-            std::fs::read(job_dir.join("wal.log")).expect("leader wal"),
-            std::fs::read(follower_root.join("job-1/wal.log")).expect("follower wal"),
-        );
+        // Every file the store wrote mirrors byte for byte.
+        for file in [RunStore::JOURNAL, "wal.log.stale", FINGERPRINTS] {
+            assert_eq!(
+                std::fs::read(job_dir.join(file)).expect("leader file"),
+                std::fs::read(follower_root.join("job-1").join(file)).expect("follower file"),
+                "{file} must mirror byte for byte"
+            );
+        }
         // Recovery on the follower sees the same settled verdicts.
         let leader = RunStore::open(&job_dir, "k", None).expect("leader reopen");
         let follower =

@@ -4,16 +4,18 @@
 //! [`RunStore`] open path lands in exactly the state the leader held
 //! when that frame was published.
 //!
-//! This is the replication analogue of `prop.rs`'s "checkpoint + tail ≡
-//! full journal": here the claim is "shipped (snapshot + record tail) ≡
-//! leader's in-memory state", over randomized interleavings of appends,
-//! checkpoints, and kill points.
+//! The claim is "shipped frames ≡ leader's state", over randomized
+//! interleavings of appends, fingerprint-file saves, and kill points:
+//! the recovered run state equals the leader's in-memory state, and the
+//! follower's `fingerprints.log` is byte-identical to the leader's.
 
 use std::path::PathBuf;
 use std::time::Duration;
 
+use lisa_store::fingerprints::FINGERPRINTS;
 use lisa_store::{
-    decode_wire, Applier, BusPoll, ReplBus, RuleOutcome, RunState, RunStore, Wire,
+    decode_wire, Applier, BusPoll, FingerprintFile, ReplBus, RuleOutcome, RunState, RunStore,
+    Wire,
 };
 use lisa_util::Prng;
 
@@ -54,16 +56,17 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
                 .expect("leader store");
 
         // Random op sequence. After every op, record the frames it
-        // published and the leader's state once it settled — one shadow
-        // entry per frame, because a kill can land between any two
-        // frames (including between a checkpoint's snapshot and reset,
-        // where the state is unchanged by construction).
+        // published and the leader's state once it settled — its run
+        // state and its fingerprint file bytes — one shadow entry per
+        // frame, because a kill can land between any two frames.
+        let fingerprints = root.join("job").join(FINGERPRINTS);
+        let shadow = |store: &RunStore| (store.state.clone(), std::fs::read(&fingerprints).ok());
         let mut pos = 0u64;
         let mut frames: Vec<Vec<u8>> = Vec::new();
-        let mut shadows: Vec<RunState> = Vec::new();
+        let mut shadows: Vec<(RunState, Option<Vec<u8>>)> = Vec::new();
         for f in drain(&bus, &mut pos) {
             frames.push(f);
-            shadows.push(store.state.clone());
+            shadows.push(shadow(&store));
         }
         let ops = 4 + rng.gen_index(12);
         for _ in 0..ops {
@@ -84,11 +87,17 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
                     });
                 }
                 2 => store.record_run_finished(if rng.gen_bool(0.5) { "PASS" } else { "BLOCK" }),
-                _ => store.checkpoint().expect("checkpoint"),
+                _ => {
+                    let mut file = FingerprintFile::default();
+                    for outcome in &store.state.finished {
+                        file.insert(rng.next_u64(), outcome.clone());
+                    }
+                    store.save_fingerprints(&file).expect("save fingerprints");
+                }
             }
             for f in drain(&bus, &mut pos) {
                 frames.push(f);
-                shadows.push(store.state.clone());
+                shadows.push(shadow(&store));
             }
         }
         assert!(!frames.is_empty(), "seed {seed}: the run published nothing");
@@ -105,18 +114,23 @@ fn shipped_prefix_recovers_to_the_leaders_state_at_that_frame() {
                     other => panic!("bus never ships {other:?}"),
                 }
             }
+            let mirrored = std::fs::read(froot.join("job").join(FINGERPRINTS)).ok();
             let recovered =
                 RunStore::open(froot.join("job"), run_key, None).expect("follower recovery");
-            let expected = if k == 0 {
+            let (expected, expected_fingerprints) = if k == 0 {
                 // Nothing shipped yet: the follower starts the run fresh,
                 // exactly as a leader opening an empty directory would.
-                RunState { run_key: Some(run_key.to_string()), ..RunState::default() }
+                (RunState { run_key: Some(run_key.to_string()), ..RunState::default() }, None)
             } else {
                 shadows[k - 1].clone()
             };
             assert_eq!(
                 recovered.state, expected,
                 "seed {seed}, kill point {k}: follower recovery diverged from the leader"
+            );
+            assert_eq!(
+                mirrored, expected_fingerprints,
+                "seed {seed}, kill point {k}: follower fingerprints.log diverged from the leader"
             );
             let _ = std::fs::remove_dir_all(&froot);
         }

@@ -62,6 +62,16 @@ SECOND_ENGINE="$(no_pattern_outside_tests 'RuleRegistry::new\(|enforce_impl\(' c
     || { echo "the durable gate must check rules through RuleChecker, not a second gate engine:"; echo "$SECOND_ENGINE"; exit 1; }
 echo "one rule-check engine check: ok"
 
+# One writer per job directory: `RunStore` writes every file under a
+# job's state dir (journal, fingerprints.log, stale archive) and
+# publishes each write to followers, so the durable gate never writes
+# one itself; a file written behind the store's back is never mirrored.
+SIDE_WRITES="$(no_pattern_outside_tests 'FingerprintFile::save|write_atomic\(|write_file_atomic\(|std::fs::write' \
+    crates/core/src/service/durable.rs)"
+[ -z "$SIDE_WRITES" ] \
+    || { echo "service/durable.rs must write job files through RunStore:"; echo "$SIDE_WRITES"; exit 1; }
+echo "one writer per job directory check: ok"
+
 # Service modules depend one way: only `supervisor` imports the other
 # five, and none of them names it or its `Shared` state; the three data
 # modules (load, durable, stats) never touch the network loop. The
@@ -205,9 +215,10 @@ echo "benchmark smoke: ok (cold-gate, warm-regate)"
 cargo test -q -p lisa --test e2e_failover
 
 # Warm-failover smoke: a leader and a follower over TCP, a job settled
-# on the leader, the leader SIGKILLed, the follower promoted —
-# the mirrored journal must be byte-identical and the promoted daemon
-# must answer the same verdict without re-executing anything.
+# on the leader, the leader SIGKILLed, the follower promoted — the
+# mirrored journal and fingerprint file must be byte-identical and the
+# promoted daemon must answer the same verdict without re-executing
+# anything.
 LEADER=""; FOLLOWER=""; SERVE=""
 trap 'kill -9 $LEADER $FOLLOWER $SERVE 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
 FPORT=$((20000 + RANDOM % 20000))
@@ -231,6 +242,7 @@ for _ in $(seq 100); do
     sleep 0.1
 done
 cmp "$SMOKE/lstate/fo1/wal.log" "$SMOKE/fstate/fo1/wal.log"
+cmp "$SMOKE/lstate/fo1/fingerprints.log" "$SMOKE/fstate/fo1/fingerprints.log"
 kill -9 "$LEADER"
 for _ in $(seq 200); do
     "$LISA" submit --socket "$SMOKE/follower.sock" --op stats \

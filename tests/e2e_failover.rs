@@ -181,6 +181,26 @@ fn leader_killed_at_every_frame_boundary_follower_finishes_identically_with_cach
 }
 
 #[test]
+fn streamed_follower_mirrors_the_leaders_fingerprint_file() {
+    // A cached run writes fingerprints.log beside its journal; a follower
+    // that applies every shipped frame must hold the same bytes.
+    let root = tmpdir("fp-leader");
+    let bus = ReplBus::with_retention(&root, 1_000_000);
+    run_replicated(&root, bus.clone(), true);
+    let mut pos = 0u64;
+    let froot = tmpdir("fp-follower");
+    apply_prefix(&froot, &drain(&bus, &mut pos));
+    for file in ["wal.log", "fingerprints.log"] {
+        let leader = std::fs::read(root.join("job").join(file)).expect("leader file");
+        let follower = std::fs::read(froot.join("job").join(file))
+            .unwrap_or_else(|e| panic!("follower has no job/{file}: {e}"));
+        assert_eq!(follower, leader, "job/{file} must mirror byte for byte");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+    let _ = std::fs::remove_dir_all(&froot);
+}
+
+#[test]
 fn full_sync_bootstraps_a_late_follower_to_all_reused() {
     // The follower attaches only after the leader's run is over: the
     // full-sync walk alone must hand it every settled verdict.
